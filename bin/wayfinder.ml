@@ -583,24 +583,24 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
           Printf.printf "resuming from %s at iteration %d (t=%.0fs)\n%!"
             (Option.get checkpoint) ck.P.Checkpoint.iterations ck.P.Checkpoint.clock_seconds
         | None -> ());
-        (* --domains: spin up the pool for the run's duration; it is also
-           installed as the ambient default so the numeric kernels (DTM
-           training, candidate scoring) parallelize.  Results are
-           byte-for-byte identical to the unpooled run. *)
-        let run_with_pool f =
-          if domains <= 1 then f None
+        (* --domains: install a pool as the ambient default for the run's
+           duration, so the numeric kernels (DTM training, candidate
+           scoring) parallelize.  Results are byte-for-byte identical to
+           the unpooled run. *)
+        let with_domains f =
+          if domains <= 1 then f ()
           else
-            let p = P.Domain_pool.create domains in
+            let p = Wayfinder_tensor.Domain_pool.create domains in
             Fun.protect
-              ~finally:(fun () -> P.Domain_pool.shutdown p)
-              (fun () -> P.Domain_pool.with_default (Some p) (fun () -> f (Some p)))
+              ~finally:(fun () -> Wayfinder_tensor.Domain_pool.shutdown p)
+              (fun () -> Wayfinder_tensor.Domain_pool.with_default (Some p) f)
         in
         match
-          run_with_pool (fun pool ->
+          with_domains (fun () ->
               P.Driver.run ~seed ~on_iteration:progress ?on_record ~obs ~resilience
                 ?checkpoint_path:checkpoint ~checkpoint_every ~checkpoint_keep:keep_checkpoints
                 ?resume_from ~workers ?batch
-                ?image_cache:(Option.map P.Image_cache.capacity image_cache) ?pool
+                ?image_cache:(Option.map P.Image_cache.capacity image_cache)
                 ?scenario:(Option.map (fun (sc, _, _) -> sc) scenario_info) ~target
                 ~algorithm:algo ~budget ())
         with
@@ -1324,11 +1324,10 @@ let run_cmd =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Run the expensive computation on $(docv) OCaml domains (real CPU cores): each \
-                fill round's evaluations are speculatively computed in parallel, and the \
-                numeric kernels (DTM training, candidate-pool scoring) run data-parallel. \
-                Results are byte-for-byte identical to $(docv)=1 — domains buy wall-clock \
-                time, never a different answer.")
+          ~doc:"Run the numeric kernels (DTM training, candidate-pool scoring) data-parallel \
+                on $(docv) OCaml domains (real CPU cores); evaluations stay on the calling \
+                domain. Results are byte-for-byte identical to $(docv)=1 — domains buy \
+                wall-clock time, never a different answer.")
   in
   let scenario =
     Arg.(

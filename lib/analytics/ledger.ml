@@ -345,31 +345,6 @@ let parse_row j =
         belief;
         objectives }
 
-(* One body line, classified — the incremental reader (Monitor.Tail)
-   consumes the file line-at-a-time through this instead of re-running
-   the whole-file readers below on every poll. *)
-type line =
-  | Iter_line of row
-  | Fin_line of { fin_rows : int option; fin_crc : Crc32.t option }
-  | Blank_line
-
-let parse_line s =
-  if String.trim s = "" then Ok Blank_line
-  else
-    match Json.parse s with
-    | Error msg -> Error (Malformed msg)
-    | Ok j -> (
-      match Option.bind (Json.member "type" j) Json.to_str with
-      | Some "fin" ->
-        Ok
-          (Fin_line
-             { fin_rows = Option.bind (Json.member "rows" j) Json.to_int;
-               fin_crc =
-                 Option.bind
-                   (Option.bind (Json.member "crc" j) Json.to_str)
-                   Crc32.of_hex })
-      | _ -> Result.map (fun r -> Iter_line r) (parse_row j))
-
 type drop = { line : int; offset : int; reason : string }
 
 type salvage = {
@@ -379,115 +354,164 @@ type salvage = {
   clean_prefix_bytes : int;
 }
 
-(* Shared core of the strict reader and the salvage reader.  Tracks the
-   byte offset and a streaming CRC so (a) every error names the exact
-   line and byte where parsing stopped, (b) the fin seal can be verified
-   against the actual bytes read, and (c) salvage knows where the clean
-   prefix ends.  In lenient mode bad lines become [drop]s instead of
-   fatal errors; header/meta damage is unsalvageable either way, since
-   without the meta record the rows cannot be interpreted. *)
-let parse_body ~lenient lines =
-  match lines with
-  | [] -> Error Missing_header
-  | header :: rest ->
-    let* () = parse_header header in
-    let offset0 = String.length header + 1 in
-    (match rest with
-    | [] ->
+(* The one ledger reader: the whole-file readers fold it over a file and
+   Monitor.Tail feeds it each line a growing file completes.  It tracks
+   the byte offset and a streaming CRC so (a) every drop names the exact
+   line and byte where parsing stopped, (b) the fin seal is verified
+   against the bytes actually read, and (c) salvage knows where the clean
+   prefix ends.  Bad body lines become drops; header/meta damage is
+   fatal, since without the meta record the rows cannot be interpreted. *)
+module Reader = struct
+  type stage = Expect_header | Expect_meta | Rows
+
+  type t = {
+    mutable stage : stage;
+    mutable offset : int;
+    mutable lineno : int;
+    (* Streaming CRC over every consumed line (newline included); [None]
+       when resumed mid-file, where a seal's CRC cannot be checked. *)
+    mutable crc : Crc32.t option;
+    mutable meta : meta option;
+    mutable rows : int;
+    mutable drops : int;
+    mutable sealed : bool;
+    (* Rows and bytes strictly before the first drop or the fin line —
+       the portion a repair keeps (and re-seals). *)
+    mutable prefix_end : (int * int) option;
+  }
+
+  type item = Row of row | Drop of drop | Skip
+
+  let create () =
+    { stage = Expect_header; offset = 0; lineno = 1; crc = Some Crc32.init; meta = None;
+      rows = 0; drops = 0; sealed = false; prefix_end = None }
+
+  let resume ?(rows_read = 0) ~offset meta =
+    { (create ()) with stage = Rows; offset; crc = None; meta = Some meta; rows = rows_read }
+
+  let meta t = t.meta
+  let sealed t = t.sealed
+  let checks_crc t = t.crc <> None
+  let offset t = t.offset
+  let rows t = t.rows
+  let drops t = t.drops
+
+  let clean_prefix t = match t.prefix_end with Some p -> p | None -> (t.rows, t.offset)
+
+  let mark_prefix t = if t.prefix_end = None then t.prefix_end <- Some (t.rows, t.offset)
+
+  let drop t reason =
+    mark_prefix t;
+    t.drops <- t.drops + 1;
+    Drop { line = t.lineno; offset = t.offset; reason }
+
+  let fin t j =
+    let stored_rows = Option.bind (Json.member "rows" j) Json.to_int in
+    let stored_crc = Option.bind (Option.bind (Json.member "crc" j) Json.to_str) Crc32.of_hex in
+    match (stored_rows, stored_crc) with
+    | None, _ | _, None -> drop t "fin seal is missing rows or crc"
+    | Some r, Some _ when r <> t.rows ->
+      drop t (Printf.sprintf "fin seal claims %d rows but %d were read (truncated body?)" r t.rows)
+    | Some _, Some c -> (
+      match Option.map Crc32.finish t.crc with
+      | Some computed when c <> computed ->
+        drop t
+          (Printf.sprintf "fin seal crc mismatch (stored %s, computed %s)" (Crc32.to_hex c)
+             (Crc32.to_hex computed))
+      | Some _ | None ->
+        mark_prefix t;
+        t.sealed <- true;
+        Skip)
+
+  let body t line =
+    if String.trim line = "" then Ok Skip
+    else if t.sealed then Ok (drop t "content after fin seal")
+    else
+      match Json.parse line with
+      | Error msg -> Ok (drop t msg)
+      | Ok j -> (
+        match Option.bind (Json.member "type" j) Json.to_str with
+        | Some "fin" -> Ok (fin t j)
+        | _ -> (
+          match parse_row j with
+          | Ok row ->
+            t.rows <- t.rows + 1;
+            Ok (Row row)
+          | Error (Malformed reason) -> Ok (drop t reason)
+          | Error e -> Error e))
+
+  (* A fatal error leaves the reader where it was, so a caller polling a
+     growing file re-reads the same line (and fails the same way). *)
+  let read t ~newline line =
+    let* item =
+      match t.stage with
+      | Expect_header ->
+        let* () = parse_header line in
+        t.stage <- Expect_meta;
+        Ok Skip
+      | Expect_meta ->
+        let* meta = parse_meta ~offset:t.offset line in
+        t.meta <- Some meta;
+        t.stage <- Rows;
+        Ok Skip
+      | Rows -> body t line
+    in
+    let nl = if newline then "\n" else "" in
+    t.crc <- Option.map (fun c -> Crc32.update (Crc32.update c line) nl) t.crc;
+    t.offset <- t.offset + String.length line + String.length nl;
+    t.lineno <- t.lineno + 1;
+    Ok item
+
+  let feed t line = read t ~newline:true line
+
+  let finish t rest =
+    let* item = if rest = "" && t.stage = Rows then Ok Skip else read t ~newline:false rest in
+    match t.stage with
+    | Rows -> Ok item
+    | Expect_header | Expect_meta ->
+      (* Only an unterminated header gets here; line 2 would start one
+         byte past it. *)
       Error
         (Malformed
            (Printf.sprintf "line 2 (byte %d): ledger has no meta record (truncated after header)"
-              offset0))
-    | meta_line :: rows_lines ->
-      let* meta = parse_meta ~offset:offset0 meta_line in
-      let crc =
-        ref
-          (List.fold_left Crc32.update Crc32.init [ header; "\n"; meta_line; "\n" ])
-      in
-      let offset = ref (offset0 + String.length meta_line + 1) in
-      let lineno = ref 3 in
-      let rows = ref [] in
-      let nrows = ref 0 in
-      let drops = ref [] in
-      let sealed = ref false in
-      (* Rows and bytes strictly before the first drop or the fin line —
-         the portion a repair keeps (and re-seals). *)
-      let prefix_end = ref None in
-      let mark_prefix () =
-        if !prefix_end = None then prefix_end := Some (!nrows, !offset)
-      in
-      let fail reason =
-        if lenient then begin
-          mark_prefix ();
-          drops := { line = !lineno; offset = !offset; reason } :: !drops;
-          Ok ()
-        end
-        else Error (Malformed (Printf.sprintf "line %d (byte %d): %s" !lineno !offset reason))
-      in
-      let handle_fin j =
-        let stored_rows = Option.bind (Json.member "rows" j) Json.to_int in
-        let stored_crc =
-          Option.bind (Option.bind (Json.member "crc" j) Json.to_str) Crc32.of_hex
-        in
-        match (stored_rows, stored_crc) with
-        | None, _ | _, None -> fail "fin seal is missing rows or crc"
-        | Some r, Some c ->
-          if r <> !nrows then
-            fail
-              (Printf.sprintf "fin seal claims %d rows but %d were read (truncated body?)" r
-                 !nrows)
-          else begin
-            let computed = Crc32.finish !crc in
-            if c <> computed then
-              fail
-                (Printf.sprintf "fin seal crc mismatch (stored %s, computed %s)"
-                   (Crc32.to_hex c) (Crc32.to_hex computed))
-            else begin
-              mark_prefix ();
-              sealed := true;
-              Ok ()
-            end
-          end
-      in
-      let rec go = function
-        | [] -> Ok ()
-        | line :: rest ->
-          let* () =
-            if String.trim line = "" then Ok ()
-            else if !sealed then fail "content after fin seal"
-            else
-              match Json.parse line with
-              | Error msg -> fail msg
-              | Ok j -> (
-                match Option.bind (Json.member "type" j) Json.to_str with
-                | Some "fin" -> handle_fin j
-                | _ -> (
-                  match parse_row j with
-                  | Ok row ->
-                    rows := row :: !rows;
-                    incr nrows;
-                    Ok ()
-                  | Error (Malformed reason) -> fail reason
-                  | Error e -> Error e))
-          in
-          crc := Crc32.update (Crc32.update !crc line) "\n";
-          offset := !offset + String.length line + 1;
-          incr lineno;
-          go rest
-      in
-      let* () = go rows_lines in
-      let clean_prefix_rows, clean_prefix_bytes =
-        match !prefix_end with Some p -> p | None -> (!nrows, !offset)
-      in
-      Ok
-        ( { meta; rows = List.rev !rows; sealed = !sealed },
-          List.rev !drops,
-          clean_prefix_rows,
-          clean_prefix_bytes ))
+              (t.offset + 1)))
+end
 
+(* Fold the reader over [lines], the input split at every newline: all
+   but the last element were newline-terminated. *)
+let salvage_lines lines =
+  let r = Reader.create () in
+  let rows = ref [] and drops = ref [] in
+  let collect = function
+    | Reader.Row row -> rows := row :: !rows
+    | Reader.Drop d -> drops := d :: !drops
+    | Reader.Skip -> ()
+  in
+  let rec go = function
+    | [] -> Reader.finish r ""
+    | [ rest ] -> Reader.finish r rest
+    | line :: more ->
+      let* item = Reader.feed r line in
+      collect item;
+      go more
+  in
+  let* last = go lines in
+  collect last;
+  let clean_prefix_rows, clean_prefix_bytes = Reader.clean_prefix r in
+  Ok
+    { ledger =
+        { meta = Option.get (Reader.meta r); rows = List.rev !rows; sealed = Reader.sealed r };
+      dropped = List.rev !drops;
+      clean_prefix_rows;
+      clean_prefix_bytes }
+
+(* The strict reader: a healthy file is one the salvage reader drops
+   nothing from. *)
 let of_lines lines =
-  let* ledger, _, _, _ = parse_body ~lenient:false lines in
-  Ok ledger
+  let* s = salvage_lines lines in
+  match s.dropped with
+  | [] -> Ok s.ledger
+  | d :: _ -> Error (Malformed (Printf.sprintf "line %d (byte %d): %s" d.line d.offset d.reason))
 
 let of_string s =
   of_lines (String.split_on_char '\n' s)
@@ -497,17 +521,7 @@ let load path =
   | contents -> of_string contents
   | exception Sys_error msg -> Error (Malformed msg)
 
-let salvage_string s =
-  let* ledger, dropped, clean_prefix_rows, clean_prefix_bytes =
-    parse_body ~lenient:true (String.split_on_char '\n' s)
-  in
-  (* The scanner overcounts the final offset by one when the file lacks a
-     trailing newline; clamp so the prefix is always a real substring. *)
-  Ok
-    { ledger;
-      dropped;
-      clean_prefix_rows;
-      clean_prefix_bytes = min clean_prefix_bytes (String.length s) }
+let salvage_string s = salvage_lines (String.split_on_char '\n' s)
 
 let salvage path =
   match In_channel.with_open_text path In_channel.input_all with

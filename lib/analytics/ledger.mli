@@ -138,34 +138,6 @@ val of_lines : string list -> (t, error) result
     {!Malformed} messages name the line number and byte offset where
     parsing stopped (["line 17 (byte 2310): ..."]). *)
 
-(** {1 Incremental reading}
-
-    The pieces a line-at-a-time reader (e.g. [Monitor.Tail]) needs to
-    consume a growing ledger without re-parsing the whole file on every
-    poll.  They accept exactly what the whole-file readers accept. *)
-
-val parse_header : string -> (unit, error) result
-(** Validate line 1: schema version and ["ledger"] kind. *)
-
-val parse_meta : offset:int -> string -> (meta, error) result
-(** Parse line 2.  [offset] is the byte offset of the line's start, used
-    only to anchor error messages. *)
-
-type line =
-  | Iter_line of row
-  | Fin_line of {
-      fin_rows : int option;  (** [None] when the seal is missing it. *)
-      fin_crc : Wayfinder_platform.Crc32.t option;
-          (** [None] when missing or not valid hex. *)
-    }  (** A [fin] seal — {e unverified}: the caller checks row count and
-           CRC against what it actually read. *)
-  | Blank_line
-
-val parse_line : string -> (line, error) result
-(** Classify one body line (line 3 onwards, no trailing newline).
-    Errors are [Malformed] with no position anchor — the caller knows its
-    own line number and byte offset. *)
-
 (** {1 Salvage}
 
     Recovery for torn or corrupt ledgers: keep every parseable record,
@@ -202,3 +174,57 @@ val repair_string : string -> (string * salvage, error) result
     [fin] record over exactly those bytes — plus the salvage report that
     produced it.  Loading the repaired content always yields a sealed
     ledger with [clean_prefix_rows] rows. *)
+
+(** {1 Incremental reading}
+
+    The one reader behind {!of_lines} and {!salvage}, for a consumer that
+    sees a file grow a line at a time (e.g. [Monitor.Tail]).  It carries
+    the position, row count, streaming CRC and seal state between lines,
+    so every consumer applies the same grammar and drop reasons. *)
+
+module Reader : sig
+  type t
+
+  type item =
+    | Row of row
+    | Drop of drop  (** A bad body line, anchored to its line and byte. *)
+    | Skip  (** A header, meta, blank or verified [fin] line. *)
+
+  val create : unit -> t
+  (** A reader at byte 0 of a ledger: it expects the header line. *)
+
+  val resume : ?rows_read:int -> offset:int -> meta -> t
+  (** A reader at byte [offset] inside the row region, for a caller that
+      already consumed the prefix (and its meta record).  [rows_read]
+      (default 0) is the number of iter rows in that prefix, so a later
+      [fin] seal's row count can still be checked; its CRC cannot be
+      ({!checks_crc} is [false]).  Drop line numbers are relative to the
+      resume point. *)
+
+  val feed : t -> string -> (item, error) result
+  (** Read one newline-terminated line, given without its newline.
+      [Error] only for a damaged header or meta line (or an unknown
+      schema); the reader is then left unchanged. *)
+
+  val finish : t -> string -> (item, error) result
+  (** End of input: [rest] is whatever followed the last newline (empty
+      when the input ended with one), read as a final unterminated line.
+      [Error] as for {!feed}, or when the input ended before the meta
+      record. *)
+
+  val meta : t -> meta option
+  (** The meta record, once line 2 has been read. *)
+
+  val sealed : t -> bool
+  (** A [fin] seal was read and accepted: its row count matched and, when
+      {!checks_crc}, so did its CRC-32. *)
+
+  val checks_crc : t -> bool
+  (** [true] unless the reader was {!resume}d mid-file. *)
+
+  val offset : t -> int
+  (** Bytes consumed. *)
+
+  val rows : t -> int
+  val drops : t -> int
+end

@@ -29,8 +29,6 @@ let predict t q =
   let var = k_qq +. t.noise -. Vec.dot v v in
   (mean, max 0. var)
 
-let mean_only t q = fst (predict t q)
-
 let default_lengthscale_grid = [ 0.25; 0.5; 1.0; 1.5; 2.5; 4.0 ]
 
 let log_marginal_likelihood t =

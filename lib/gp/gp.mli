@@ -32,8 +32,6 @@ val predict : t -> Vec.t -> float * float
 
 val log_marginal_likelihood : t -> float
 
-val mean_only : t -> Vec.t -> float
-
 (** {1 Standard-normal helpers} (for acquisition functions) *)
 
 val std_normal_pdf : float -> float

@@ -1,16 +1,17 @@
 (** Follow-mode ledger reader.
 
-    Polls a growing JSONL ledger: each {!step} reads every line whose
-    terminating newline has reached the disk since the previous step and
-    parses it incrementally — a writer killed mid-record never yields a
-    half-parsed row (the torn fragment stays pending until the file
-    grows past it).  Body damage follows the salvage discipline of
-    {!Wayfinder_analytics.Ledger}: bad lines become positioned drops;
-    only header/meta damage (or an unknown schema) is a fatal error,
-    since without the meta record the rows cannot be interpreted.
+    Polls a growing JSONL ledger: each {!step} feeds every line whose
+    terminating newline has reached the disk since the previous step to
+    {!Wayfinder_analytics.Ledger.Reader}, the reader behind the batch
+    loaders — a writer killed mid-record never yields a half-parsed row
+    (the torn fragment stays pending until the file grows past it).
+    Body damage follows the salvage discipline: bad lines become
+    positioned drops; only header/meta damage (or an unknown schema) is
+    a fatal error, since without the meta record the rows cannot be
+    interpreted.
 
-    When the tail starts at byte 0 it maintains the same streaming
-    CRC-32 the batch reader computes, so a [fin] seal is fully verified
+    When the tail starts at byte 0 it computes the same streaming CRC-32
+    as the batch reader, so a [fin] seal is fully verified
     ({!Sealed}); a tail {!resume}d mid-file can check the seal's row
     count but not its checksum and reports {!Sealed_unverified}.  A file
     that shrinks under the reader (truncation/rewrite) resets the tail

@@ -52,10 +52,6 @@ let forward t ?(train = true) rng x =
       | L_dropout l -> Layer.Dropout.forward l ~train rng acc)
     x t.layers
 
-let forward_vec t rng v =
-  let batch = Mat.of_rows [| v |] in
-  Mat.row (forward t ~train:false rng batch) 0
-
 let backward t dy =
   let acc = ref dy in
   for i = Array.length t.layers - 1 downto 0 do

@@ -23,9 +23,6 @@ val out_dim : t -> int
 val forward : t -> ?train:bool -> Rng.t -> Mat.t -> Mat.t
 (** With [train = false], dropout is disabled (inference mode). *)
 
-val forward_vec : t -> Rng.t -> Wayfinder_tensor.Vec.t -> Wayfinder_tensor.Vec.t
-(** Single-sample inference (no dropout). *)
-
 val backward : t -> Mat.t -> Mat.t
 val params : t -> Layer.tensor list
 val copy : t -> t

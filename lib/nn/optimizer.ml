@@ -71,5 +71,4 @@ let step t =
       t.params;
   zero_grads t
 
-let set_lr t lr = t.lr <- lr
 let lr t = t.lr

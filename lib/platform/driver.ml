@@ -3,7 +3,6 @@ module Param = Wayfinder_configspace.Param
 module Vclock = Wayfinder_simos.Vclock
 module Rng = Wayfinder_tensor.Rng
 module Stat = Wayfinder_tensor.Stat
-module Domain_pool = Wayfinder_tensor.Domain_pool
 module Obs = Wayfinder_obs
 
 type budget = Iterations of int | Virtual_seconds of float
@@ -50,6 +49,20 @@ let diverged_msg index =
     "Driver.run: resume replay diverged at iteration %d (different algorithm, seed or options \
      than the checkpointed run?)"
     index
+
+(* A resume replays every launch the checkpoint recorded, completed or in
+   flight.  An iteration budget below that count cannot be honoured: the
+   replay would outrun it and leave the engine with no room to launch. *)
+let check_resume_budget budget (ck : Checkpoint.t) =
+  let launched = ck.Checkpoint.iterations + List.length ck.Checkpoint.inflight in
+  match budget with
+  | Iterations n when n < launched ->
+    invalid_arg
+      (Printf.sprintf
+         "Driver.run: resume budget of %d iterations is below the %d iterations the \
+          checkpoint already launched"
+         n launched)
+  | Iterations _ | Virtual_seconds _ -> ()
 
 (* Per-phase virtual timeouts: a phase whose duration exceeds its cap is
    charged at the cap, later phases never ran, and the outcome is the
@@ -159,6 +172,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
   (match resume_from with
   | None -> ()
   | Some ck ->
+    check_resume_budget budget ck;
     if Vclock.now clock <> ck.Checkpoint.budget_start_seconds then
       invalid_arg
         "Driver.run: resume requires a clock at the checkpoint's budget origin (pass a fresh \
@@ -582,7 +596,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
     ?(resilience = Resilience.none) ?checkpoint_path
     ?(checkpoint_every = default_checkpoint_every) ?(checkpoint_keep = 1) ?resume_from
     ?(workers = 1) ?batch
-    ?image_cache ?pool ?scenario ~target ~algorithm ~budget () =
+    ?image_cache ?scenario ~target ~algorithm ~budget () =
   if invalid_floor_s <= 0. then invalid_arg "Driver.run: invalid_floor_s must be positive";
   if max_consecutive_invalid <= 0 then
     invalid_arg "Driver.run: max_consecutive_invalid must be positive";
@@ -680,6 +694,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
   (match resume_from with
   | None -> ()
   | Some ck ->
+    check_resume_budget budget ck;
     if Vclock.now clock <> ck.Checkpoint.budget_start_seconds then
       invalid_arg
         "Driver.run: resume requires a clock at the checkpoint's budget origin (pass a fresh \
@@ -722,46 +737,6 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
           "Driver.run: resume replay left the RNG in a different state than the checkpoint"
       | Some _ | None -> ()
     end
-  in
-  (* ---------------- Speculative parallel prefetch ---------------- *)
-  (* With a domain pool, the first-attempt evaluation of every launch in a
-     batch is computed in parallel *before* the launches run, keyed by its
-     deterministic trial number; [call_target] then consumes the memoised
-     result.  Evaluation is a pure function of (trial, configuration), so
-     the memo is observably indistinguishable from evaluating inline —
-     retries and corroborating re-measurements use distinct trial numbers
-     and still evaluate inline, and a speculated result that a launch
-     never consumes (a config quarantined or negative-cached by an
-     *earlier* launch of the same batch) is simply dropped.  Nothing here
-     touches the recorder, the RNG or the clock, so pooled runs stay
-     byte-for-byte equal to sequential ones. *)
-  let prefetched : (int, Target.eval_result) Hashtbl.t = Hashtbl.create 64 in
-  let prefetch_batch pending =
-    match (pool, scenario) with
-    | None, _ | Some _, Some _ ->
-      (* A scenario target reads the trace cursor at evaluation time, so
-         speculating first attempts out of launch order would replay the
-         wrong trace slice; scenario runs evaluate inline, in order. *)
-      ()
-    | Some p, None ->
-      let work =
-        List.filter
-          (fun (idx, config) ->
-            (not (Hashtbl.mem replay_entries idx))
-            && (not (Hashtbl.mem replay_inflight idx))
-            && Space.validate space config = []
-            && (not (Hashtbl.mem quarantine (config_key config)))
-            &&
-            match Image_cache.peek cache (Space.stage_key space config) with
-            | Some { Image_cache.status = Image_cache.Build_failed _; _ } -> false
-            | Some { Image_cache.status = Image_cache.Built; _ } | None -> true)
-          pending
-      in
-      Array.iter
-        (fun (idx, r) -> Hashtbl.replace prefetched idx r)
-        (Domain_pool.map p
-           (fun (idx, config) -> (idx, target.Target.evaluate ~trial:idx config))
-           (Array.of_list work))
   in
   let write_checkpoint () =
     match checkpoint_path with
@@ -885,11 +860,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
     let call_target config =
       let trial = idx + (trial_stride * !eval_calls) in
       incr eval_calls;
-      match Hashtbl.find_opt prefetched trial with
-      | Some r ->
-        Hashtbl.remove prefetched trial;
-        r
-      | None -> target.Target.evaluate ~trial config
+      target.Target.evaluate ~trial config
     in
     let violations =
       Obs.Recorder.with_span obs "driver.validate" (fun () -> Space.validate space config)
@@ -1145,75 +1116,33 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       if n < k then note_exhausted ();
       if multi then Obs.Recorder.observe obs ~quiet:true "driver.batch.size" (float_of_int n);
       let share = secs /. float_of_int (max 1 n) in
-      prefetch_batch (List.mapi (fun i config -> (!proposal_seq + i, config)) configs);
-      List.iter (fun config -> launch ~iteration_span:None config share) configs;
-      Hashtbl.reset prefetched
+      List.iter (fun config -> launch ~iteration_span:None config share) configs
     end
     else begin
       let launched = ref 0 in
       let i = ref 0 in
-      (match pool with
-      | None ->
-        while !i < k && not !exhausted do
-          let span =
-            Obs.Recorder.span_begin obs
-              ~attrs:[ Obs.Attr.int "iteration" !proposal_seq ]
-              "driver.iteration"
-          in
-          let proposed, secs =
-            Obs.Recorder.timed obs "driver.propose" (fun () ->
-                try Some (algorithm.Search_algorithm.propose ctx)
-                with Search_algorithm.Space_exhausted -> None)
-          in
-          (match proposed with
-          | None ->
-            Obs.Recorder.span_end obs
-              ~attrs:[ Obs.Attr.string "status" "space_exhausted" ]
-              span;
-            note_exhausted ()
-          | Some config ->
-            incr launched;
-            launch ~iteration_span:(Some span) config secs);
-          incr i
-        done
-      | Some _ ->
-        (* Collect the round's proposals first so their first attempts can
-           be evaluated in parallel, then launch in proposal order.
-           Proposals only read algorithm/RNG/history state that launches
-           never touch, and launches never advance the clock (they only
-           schedule completions), so the hoisting changes no per-metric
-           event order; the iteration attribute is reconstructed to match
-           the interleaved numbering. *)
-        let base = !proposal_seq in
-        let pending = ref [] in
-        while !i < k && not !exhausted do
-          let span =
-            Obs.Recorder.span_begin obs
-              ~attrs:[ Obs.Attr.int "iteration" (base + !launched) ]
-              "driver.iteration"
-          in
-          let proposed, secs =
-            Obs.Recorder.timed obs "driver.propose" (fun () ->
-                try Some (algorithm.Search_algorithm.propose ctx)
-                with Search_algorithm.Space_exhausted -> None)
-          in
-          (match proposed with
-          | None ->
-            Obs.Recorder.span_end obs
-              ~attrs:[ Obs.Attr.string "status" "space_exhausted" ]
-              span;
-            note_exhausted ()
-          | Some config ->
-            incr launched;
-            pending := (span, config, secs) :: !pending);
-          incr i
-        done;
-        let pending = List.rev !pending in
-        prefetch_batch (List.mapi (fun j (_, config, _) -> (base + j, config)) pending);
-        List.iter
-          (fun (span, config, secs) -> launch ~iteration_span:(Some span) config secs)
-          pending;
-        Hashtbl.reset prefetched);
+      while !i < k && not !exhausted do
+        let span =
+          Obs.Recorder.span_begin obs
+            ~attrs:[ Obs.Attr.int "iteration" !proposal_seq ]
+            "driver.iteration"
+        in
+        let proposed, secs =
+          Obs.Recorder.timed obs "driver.propose" (fun () ->
+              try Some (algorithm.Search_algorithm.propose ctx)
+              with Search_algorithm.Space_exhausted -> None)
+        in
+        (match proposed with
+        | None ->
+          Obs.Recorder.span_end obs
+            ~attrs:[ Obs.Attr.string "status" "space_exhausted" ]
+            span;
+          note_exhausted ()
+        | Some config ->
+          incr launched;
+          launch ~iteration_span:(Some span) config secs);
+        incr i
+      done;
       if multi then
         Obs.Recorder.observe obs ~quiet:true "driver.batch.size" (float_of_int !launched)
     end

@@ -112,7 +112,6 @@ val run :
   ?workers:int ->
   ?batch:int ->
   ?image_cache:Image_cache.config ->
-  ?pool:Wayfinder_tensor.Domain_pool.t ->
   ?scenario:Scenario.t ->
   target:Target.t ->
   algorithm:Search_algorithm.t ->
@@ -169,19 +168,6 @@ val run :
     [driver.image_cache.hits]; [.cross_slot_hits] when another slot
     built it); evictions are exact LRU.
 
-    [pool] enables {e wall-clock} parallel evaluation on OCaml domains:
-    each fill round's first-attempt evaluations are speculatively
-    computed on the pool before the launches run, and consumed from a
-    memo keyed by deterministic trial number.  Because evaluation is a
-    pure function of (trial, configuration) and the prefetch touches
-    neither the RNG, the recorder nor the virtual clock, a pooled run is
-    byte-for-byte identical to the same run without a pool — the
-    conformance suite pins this for every algorithm × worker count.
-    Retries and corroborating re-measurements (distinct trial numbers)
-    still evaluate inline.  With a [scenario] the prefetch is disabled
-    entirely — the target reads the trace cursor at evaluation time, so
-    speculative out-of-order evaluation would replay the wrong slice.
-
     [scenario] attaches trace-driven workload state: the cursor advances
     by the scenario's stride exactly once per real evaluation launched
     (floor-charged outcomes — invalid, quarantined, negative-cached —
@@ -206,8 +192,10 @@ val run :
     @raise Invalid_argument if [invalid_floor_s <= 0],
     [max_consecutive_invalid <= 0], [checkpoint_every <= 0],
     [checkpoint_keep < 1], [workers <= 0], [batch <= 0], the policy fails
-    {!Resilience.validate}, or a resume replay diverges from the
-    checkpoint. *)
+    {!Resilience.validate}, a resume replay diverges from the
+    checkpoint, or a resume's [Iterations] budget is below the number of
+    iterations the checkpoint already launched (completed plus in
+    flight). *)
 
 val run_sequential :
   ?seed:int ->
@@ -236,7 +224,8 @@ val run_sequential :
     history, metrics snapshot and virtual trajectory.  [image_cache]
     defaults to capacity 1 (the historical "last built image" baseline).
     Only resumes checkpoints written with [workers = 1] and no in-flight
-    tasks. *)
+    tasks, and rejects a resume budget below the checkpoint's iteration
+    count exactly as {!run} does. *)
 
 val phase_virtual_seconds : result -> (string * float) list
 (** Virtual seconds charged per phase, in {!virtual_phases} order. *)

@@ -166,28 +166,28 @@ type outcome = {
    [`Workers n] the batched engine.  The recorder is frozen so wall-clock
    fields are zero and outcomes compare byte-for-byte.
 
-   [domains] runs the whole thing on a domain pool of that size: the pool
-   is installed as the ambient default (so the numeric kernels — matmul,
-   DTM training and pool scoring — parallelize) and handed to [Driver.run]
-   for speculative evaluation prefetch.  The sequential loop never takes a
-   pool; it is the determinism oracle the pooled runs are compared
+   [domains] runs the whole thing with a domain pool of that size
+   installed as the ambient default, so the numeric kernels — matmul,
+   DTM training and pool scoring — parallelize; the engine itself still
+   evaluates on the calling domain.  The sequential loop is run without
+   a pool; it is the determinism oracle the pooled runs are compared
    against. *)
 let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 12)
     ?(fault_rate = 0.) ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration
     ?on_record ?image_cache ?domains name =
   let target = faulty_target ~fault_rate ~seed in
   let algo, observed = with_observe_counter (algorithm name ~seed target.Target.space) in
-  let with_pool f =
+  let with_domains f =
     match domains with
-    | None -> f None
+    | None -> f ()
     | Some n ->
-      let pool = Domain_pool.create n in
+      let pool = Wayfinder_tensor.Domain_pool.create n in
       Fun.protect
-        ~finally:(fun () -> Domain_pool.shutdown pool)
-        (fun () -> Domain_pool.with_default (Some pool) (fun () -> f (Some pool)))
+        ~finally:(fun () -> Wayfinder_tensor.Domain_pool.shutdown pool)
+        (fun () -> Wayfinder_tensor.Domain_pool.with_default (Some pool) f)
   in
   let result =
-    with_pool (fun pool ->
+    with_domains (fun () ->
         match engine with
         | `Sequential ->
           Driver.run_sequential ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
@@ -195,7 +195,7 @@ let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 1
             ()
         | `Workers workers ->
           Driver.run ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
-            ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ?pool ~target
+            ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ~target
             ~algorithm:algo ~budget ())
   in
   { result; observed }

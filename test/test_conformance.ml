@@ -136,10 +136,9 @@ let prop_cache_capacity1_workers1_equals_sequential =
 (* ------------------------------------------------------------------ *)
 
 (* The multicore acceptance gate: a pooled run — ambient default pool for
-   the numeric kernels plus speculative evaluation prefetch in the engine
-   — must be byte-for-byte the sequential oracle, for every algorithm, at
-   any domain count.  Domains only buy wall-clock time, never a different
-   answer. *)
+   the numeric kernels — must be byte-for-byte the sequential oracle, for
+   every algorithm, at any domain count.  Domains only buy wall-clock
+   time, never a different answer. *)
 let prop_domains_equal_sequential =
   QCheck2.Test.make
     ~name:"pooled engine (domains in {1,4}) byte-identical to the sequential driver"
@@ -155,8 +154,8 @@ let prop_domains_equal_sequential =
       let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate ~domains algo in
       equivalent a b)
 
-(* The prefetch must be invisible on the batched engine too: workers=4
-   with a pool is byte-identical to workers=4 without one. *)
+(* The pool must be invisible on the batched engine too: workers=4 with
+   a pool is byte-identical to workers=4 without one. *)
 let prop_domains_invisible_on_workers4 =
   QCheck2.Test.make
     ~name:"workers=4 with domains=4 byte-identical to workers=4 unpooled" ~count:10
@@ -171,7 +170,7 @@ let prop_domains_invisible_on_workers4 =
 
 (* DeepTune exercises the ambient pool inside the numeric stack as well —
    Bigarray matmul in training and the batched pool scoring — so this
-   pins the full path: pooled kernels + pooled engine ≡ sequential. *)
+   pins the full path: pooled kernels ≡ sequential. *)
 let test_deeptune_domains_equivalence () =
   let budget = Driver.Iterations 10 in
   let a = C.run ~engine:`Sequential ~seed:3 ~budget "deeptune" in
@@ -282,6 +281,97 @@ let prop_kill_and_resume_workers4 =
     (fun (seed, interrupt_at) ->
       let _, full_csv, resumed_csv = kill_and_resume ~seed ~interrupt_at in
       full_csv = resumed_csv)
+
+(* ------------------------------------------------------------------ *)
+(* Resume budget below the checkpoint: typed rejection, never a hang   *)
+(* ------------------------------------------------------------------ *)
+
+(* A resume replays every launch the checkpoint recorded.  An iteration
+   budget below that count would leave the engine's fill loop with
+   nothing to launch, so both engines reject it up front with the same
+   message; a budget equal to the count still terminates. *)
+
+let resume_budget_msg ~budget ~launched =
+  Printf.sprintf
+    "Driver.run: resume budget of %d iterations is below the %d iterations the checkpoint \
+     already launched"
+    budget launched
+
+(* The checkpoint of a 12-iteration run on [engine] — the final one, or
+   the last periodic one before [interrupt_at] completions. *)
+let checkpoint_of ?interrupt_at ~engine ~seed () =
+  let path = Filename.temp_file "wayfinder" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let completions = ref 0 in
+      (try
+         ignore
+           (C.run ~engine ~seed ~fault_rate:0.10 ~checkpoint_path:path ~checkpoint_every:3
+              ~on_iteration:(fun _ ->
+                incr completions;
+                if Some !completions = interrupt_at then raise Exit)
+              "random")
+       with Exit -> ());
+      match Checkpoint.load ~path with
+      | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
+      | Ok ck -> ck)
+
+let launched (ck : Checkpoint.t) = ck.Checkpoint.iterations + List.length ck.Checkpoint.inflight
+
+let run_random ?resume_from ~engine ~seed budget =
+  C.run ~engine ~seed ~fault_rate:0.10 ~budget:(Driver.Iterations budget) ?resume_from "random"
+
+let csv (o : C.outcome) = History.to_csv o.C.result.Driver.history
+
+let resume_error ~engine ~seed ~budget ck =
+  match run_random ~resume_from:ck ~engine ~seed budget with
+  | _ -> None
+  | exception Invalid_argument msg -> Some msg
+
+let check_rejected ~engine ~seed ~budget ck =
+  Alcotest.(check (option string))
+    (Printf.sprintf "budget %d rejected" budget)
+    (Some (resume_budget_msg ~budget ~launched:(launched ck)))
+    (resume_error ~engine ~seed ~budget ck)
+
+let test_resume_budget_finished_run () =
+  List.iter
+    (fun engine ->
+      let ck = checkpoint_of ~engine ~seed:11 () in
+      Alcotest.(check int) "finished run launched 12" 12 (launched ck);
+      check_rejected ~engine ~seed:11 ~budget:11 ck;
+      check_rejected ~engine ~seed:11 ~budget:0 ck;
+      Alcotest.(check string) "equal budget reproduces the run"
+        (csv (run_random ~engine ~seed:11 12))
+        (csv (run_random ~resume_from:ck ~engine ~seed:11 12)))
+    [ `Sequential; `Workers 1; `Workers 4 ]
+
+(* The oracle and the engine agree on the rejection, message included. *)
+let test_resume_budget_engines_agree () =
+  let ck = checkpoint_of ~engine:`Sequential ~seed:4 () in
+  Alcotest.(check (option string)) "same message on the same input"
+    (resume_error ~engine:`Sequential ~seed:4 ~budget:5 ck)
+    (resume_error ~engine:(`Workers 1) ~seed:4 ~budget:5 ck)
+
+let test_resume_budget_mid_run () =
+  List.iter
+    (fun (engine, interrupt_at) ->
+      let ck = checkpoint_of ~engine ~seed:11 ~interrupt_at () in
+      let n = launched ck in
+      Alcotest.(check bool) "checkpoint is mid-run" true (n < 12);
+      check_rejected ~engine ~seed:11 ~budget:(n - 1) ck;
+      (match engine with
+      | `Workers 4 ->
+        Alcotest.(check bool) "checkpoint carries in-flight tasks" true
+          (ck.Checkpoint.inflight <> []);
+        (* Completed count covered, in-flight launches not: still below. *)
+        check_rejected ~engine ~seed:11 ~budget:ck.Checkpoint.iterations ck
+      | `Workers _ | `Sequential -> ());
+      Alcotest.(check string) "equal budget reproduces the shorter run"
+        (csv (run_random ~engine ~seed:11 n))
+        (csv (run_random ~resume_from:ck ~engine ~seed:11 n)))
+    [ (`Workers 1, 8); (`Workers 4, 8) ]
 
 (* ------------------------------------------------------------------ *)
 (* Scenario conformance: trace replay + multi-objective invariants     *)
@@ -537,7 +627,13 @@ let () =
             test_old_version_rejected_typed;
           Alcotest.test_case "resume mid-batch with in-flight tasks" `Quick
             test_resume_mid_batch_with_inflight;
-          QCheck_alcotest.to_alcotest prop_kill_and_resume_workers4 ] );
+          QCheck_alcotest.to_alcotest prop_kill_and_resume_workers4;
+          Alcotest.test_case "resume budget below a finished run rejected" `Quick
+            test_resume_budget_finished_run;
+          Alcotest.test_case "resume budget rejection agrees with the oracle" `Quick
+            test_resume_budget_engines_agree;
+          Alcotest.test_case "resume budget below a mid-run checkpoint rejected" `Quick
+            test_resume_budget_mid_run ] );
       ("scenario battery", scenario_battery_cases);
       ( "scenario invariants",
         [ Alcotest.test_case "archive invariant across worker counts" `Quick

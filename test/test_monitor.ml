@@ -344,6 +344,115 @@ let test_tail_resume_is_sealed_unverified () =
   Alcotest.(check bool) "resumed seal is row-checked only" true
     (M.Tail.seal resumed = M.Tail.Sealed_unverified)
 
+(* Generative parity: damage a real run ledger at random — bit flips,
+   truncation, duplicated or deleted lines, a missing or mangled fin —
+   then append the result to a file in random-size chunks, stepping the
+   tail after each one.  What the tail accumulated (rows, positioned
+   drops, seal) must be exactly what the batch salvage reader finds in
+   the final file.  The damaged file is newline-terminated: the tail
+   deliberately leaves an unterminated last fragment pending, where the
+   batch reader reads it as a final line. *)
+
+type damage =
+  | Flip of int * int  (** byte position (mod length), bit *)
+  | Truncate of int  (** keep this many bytes (mod length + 1) *)
+  | Dup_line of int
+  | Delete_line of int
+  | Mangle_fin of int  (** which mangling *)
+
+let damage_gen =
+  QCheck2.Gen.(
+    oneof
+      [ map2 (fun p b -> Flip (p, b)) nat (int_range 0 7);
+        map (fun p -> Truncate p) nat;
+        map (fun i -> Dup_line i) nat;
+        map (fun i -> Delete_line i) nat;
+        map (fun k -> Mangle_fin k) (int_range 0 4) ])
+
+let damage_to_string = function
+  | Flip (p, b) -> Printf.sprintf "flip(%d,%d)" p b
+  | Truncate p -> Printf.sprintf "truncate(%d)" p
+  | Dup_line i -> Printf.sprintf "dup(%d)" i
+  | Delete_line i -> Printf.sprintf "delete(%d)" i
+  | Mangle_fin k -> Printf.sprintf "mangle_fin(%d)" k
+
+let is_fin l = String.length l > 14 && String.sub l 0 14 = {|{"type":"fin",|}
+
+let apply_damage s d =
+  let lines = String.split_on_char '\n' s in
+  let n = List.length lines in
+  let map_lines f = String.concat "\n" (List.concat (List.mapi f lines)) in
+  match d with
+  | _ when s = "" -> s
+  | Flip (p, b) ->
+    let bytes = Bytes.of_string s in
+    let i = p mod Bytes.length bytes in
+    Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor (1 lsl b)));
+    Bytes.to_string bytes
+  | Truncate p -> String.sub s 0 (p mod (String.length s + 1))
+  | Dup_line i -> map_lines (fun j l -> if j = i mod n then [ l; l ] else [ l ])
+  | Delete_line i -> map_lines (fun j l -> if j = i mod n then [] else [ l ])
+  | Mangle_fin k ->
+    map_lines (fun _ l ->
+        if not (is_fin l) then [ l ]
+        else
+          match k with
+          | 0 -> []
+          | 1 -> [ {|{"type":"fin"}|} ]
+          | 2 -> [ {|{"type":"fin","rows":99999,"crc":"00000000"}|} ]
+          | 3 -> [ String.map (fun c -> if c >= 'a' && c <= 'f' then 'z' else c) l ]
+          | _ -> [ l; {|{"type":"iter"}|} ])
+
+let prop_tail_salvage_parity =
+  let base =
+    lazy
+      (let path = temp_path ".jsonl" in
+       write_ledger path;
+       read_file path)
+  in
+  QCheck2.Test.make ~count:200 ~name:"tail in random chunks == salvage of the damaged file"
+    ~print:(fun (ds, seed) ->
+      Printf.sprintf "[%s] chunk seed %d" (String.concat "; " (List.map damage_to_string ds)) seed)
+    QCheck2.Gen.(pair (list_size (int_range 0 3) damage_gen) nat)
+    (fun (damages, seed) ->
+      let damaged = List.fold_left apply_damage (Lazy.force base) damages in
+      let final =
+        if damaged <> "" && damaged.[String.length damaged - 1] = '\n' then damaged
+        else damaged ^ "\n"
+      in
+      let path = temp_path ".jsonl" in
+      let oc = open_out_bin path in
+      let tail = M.Tail.create path in
+      let rng = Random.State.make [| seed |] in
+      let rows = ref [] and drops = ref [] and last = ref (Ok ()) in
+      let pos = ref 0 in
+      while !pos < String.length final do
+        let k = min (String.length final - !pos) (1 + Random.State.int rng 120) in
+        output_string oc (String.sub final !pos k);
+        flush oc;
+        pos := !pos + k;
+        match M.Tail.step tail with
+        | Ok st ->
+          rows := !rows @ st.M.Tail.rows;
+          drops := !drops @ st.M.Tail.drops;
+          last := Ok ()
+        | Error e -> last := Error e
+      done;
+      close_out oc;
+      match (A.Ledger.salvage path, !last) with
+      | Ok s, Ok () ->
+        !rows = s.A.Ledger.ledger.A.Ledger.rows
+        && !drops = s.A.Ledger.dropped
+        && M.Tail.seal tail
+           = (if s.A.Ledger.ledger.A.Ledger.sealed then M.Tail.Sealed else M.Tail.Unsealed)
+        && M.Tail.offset tail = String.length final
+      | Error e, Error e' -> e = e'
+      | Error _, Ok () ->
+        (* The file ended before the meta record: the batch reader needs
+           it now, the tail is still waiting for it. *)
+        M.Tail.meta tail = None && !rows = [] && !drops = []
+      | Ok _, Error _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Dashboard                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -709,7 +818,8 @@ let () =
           Alcotest.test_case "crc mismatch is a drop" `Quick
             test_tail_crc_mismatch_is_a_drop;
           Alcotest.test_case "resume seals unverified" `Quick
-            test_tail_resume_is_sealed_unverified ] );
+            test_tail_resume_is_sealed_unverified;
+          QCheck_alcotest.to_alcotest prop_tail_salvage_parity ] );
       ( "dashboard",
         [ Alcotest.test_case "deterministic frames" `Quick test_dashboard_deterministic ] );
       ( "rules",
