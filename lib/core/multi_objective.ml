@@ -178,11 +178,10 @@ module History = Wayfinder_platform.History
 module Failure = Wayfinder_platform.Failure
 module Objective = Wayfinder_platform.Objective
 
-let algorithm ?options ?seed ~objectives ~spec space =
+let of_proposer p ~spec =
   let n = Array.length spec in
-  if List.length objectives <> n then
+  if List.length p.objectives <> n then
     invalid_arg "Multi_objective.algorithm: objective/spec count mismatch";
-  let p = proposer ?options ?seed ~objectives space in
   Search_algorithm.make ~name:"deeptune-multi"
     ~propose:(fun _ctx -> propose p)
     ~observe:(fun _ctx (e : History.entry) ->
@@ -197,3 +196,6 @@ let algorithm ?options ?seed ~objectives ~spec space =
            nothing to learn from at the multi-metric head. *)
         ())
     ()
+
+let algorithm ?options ?seed ~objectives ~spec space =
+  of_proposer (proposer ?options ?seed ~objectives space) ~spec

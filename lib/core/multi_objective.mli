@@ -79,3 +79,7 @@ val algorithm :
     {!observe}; failures train the crash head; successful entries without
     a vector are ignored.  @raise Invalid_argument if [objectives] and
     [spec] disagree on the metric count. *)
+
+val of_proposer : proposer -> spec:Objective.spec -> Search_algorithm.t
+(** {!algorithm} over an existing proposer, so the caller keeps a handle
+    on its {!model}.  @raise Invalid_argument as {!algorithm}. *)

@@ -1,0 +1,155 @@
+(* Cross-commit behaviour pins.
+
+   The conformance properties compare engines against each other within
+   one build, so a numeric-kernel change that moved every float the same
+   way would pass them.  These tests pin digests of two fixed runs —
+   recorded when the kernels were last known good — so any change to a
+   float the DTM computes shows up here:
+
+   - the run ledger, minus the wall-clock [decide_s] field and the [fin]
+     crc that covers it (the same normalisation the CI byte-diff applies:
+     the digest equals [sed 's/"decide_s":[0-9.e+-]*//; s/"crc":"[0-9a-f]*"//'
+     LEDGER | md5sum] over the CLI run's ledger);
+   - the top-5 learned parameter impacts, printed with [%h] (exact bits);
+   - an MD5 of the final model snapshot, every float printed with [%h].
+
+   To re-record after a deliberate behaviour change:
+     dune exec test/test_golden.exe -- --print NAME > test/golden/NAME.digest
+   for each run NAME in [runs] below. *)
+
+module P = Wayfinder_platform
+module S = Wayfinder_simos
+module D = Wayfinder_deeptune
+module A = Wayfinder_analytics
+
+(* Drop every ["key":value] whose value consists of [value_chars]; the
+   surrounding commas stay, exactly as with the sed above. *)
+let strip_field ~key ~value_chars line =
+  let pat = "\"" ^ key ^ "\":" in
+  let plen = String.length pat in
+  let b = Buffer.create (String.length line) in
+  let n = String.length line in
+  let rec go i =
+    if i >= n then ()
+    else if i + plen <= n && String.sub line i plen = pat then begin
+      let j = ref (i + plen) in
+      while !j < n && String.contains value_chars line.[!j] do
+        incr j
+      done;
+      go !j
+    end
+    else begin
+      Buffer.add_char b line.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let normalized_ledger path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.map (fun line ->
+         line
+         |> strip_field ~key:"decide_s" ~value_chars:"0123456789.e+-"
+         |> strip_field ~key:"crc" ~value_chars:"\"0123456789abcdef")
+  |> String.concat "\n"
+
+let floats_digest floats =
+  let b = Buffer.create (Array.length floats * 24) in
+  Array.iter (fun x -> Printf.bprintf b "%h\n" x) floats;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let with_ledger ~algo ?objectives ~target f =
+  let path = Filename.temp_file "wayfinder_golden" ".ledger" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let writer =
+        A.Ledger.create_writer ~seed:1 ?objectives ~algo ~space:target.P.Target.space
+          ~metric:target.P.Target.metric path
+      in
+      f (A.Ledger.record writer);
+      A.Ledger.close_writer writer;
+      Digest.to_hex (Digest.string (normalized_ledger path)))
+
+let iterations = 60
+
+(* [run --app nginx --algorithm deeptune -n 60 --seed 1]. *)
+let nginx_deeptune () =
+  let target = P.Targets.of_sim_linux (S.Sim_linux.create ()) ~app:S.App.Nginx in
+  let dt = D.Deeptune.create ~seed:1 target.P.Target.space in
+  let ledger =
+    with_ledger ~algo:"deeptune" ~target (fun on_record ->
+        ignore
+          (P.Driver.run ~seed:1 ~on_record ~resilience:P.Resilience.none ~target
+             ~algorithm:(D.Deeptune.algorithm dt) ~budget:(P.Driver.Iterations iterations) ()))
+  in
+  let impacts = D.Deeptune.parameter_impacts dt in
+  let top5 =
+    List.init (min 5 (Array.length impacts)) (fun i ->
+        let name, impact = impacts.(i) in
+        Printf.sprintf "impact %h %s" impact name)
+  in
+  let model = D.Dtm.snapshot_to_floats (D.Deeptune.export dt).D.Deeptune.model in
+  [ "ledger " ^ ledger ] @ top5 @ [ "export " ^ floats_digest model ]
+
+(* [run --app nginx --algorithm deeptune-multi --scenario flash-crowd
+   --scenario-stride 1 --objectives throughput,p99,memory -n 60 --seed 1]:
+   the Dtm_multi training and prediction path. *)
+let flash_crowd_multi () =
+  let trace =
+    S.Trace.flash_crowd ~window_s:1.0 ~windows:60 ~base:500. ~peak:1400. ~at:30 ~width:10
+  in
+  let scenario = P.Scenario.create ~stride:1 trace in
+  let spec =
+    match P.Objective.spec_of_names [ "throughput"; "p99"; "memory" ] with
+    | Ok spec -> spec
+    | Error e -> failwith e
+  in
+  let target =
+    P.Targets.of_sim_linux_trace (S.Sim_linux.create ()) ~app:S.App.Nginx ~scenario
+      ~objectives:spec ()
+  in
+  let objectives =
+    Array.to_list
+      (Array.map
+         (fun (m : P.Metric.t) -> { D.Multi_objective.label = m.P.Metric.metric_name; weight = 1. })
+         spec)
+  in
+  let proposer = D.Multi_objective.proposer ~seed:1 ~objectives target.P.Target.space in
+  let ledger =
+    with_ledger ~algo:"deeptune-multi" ~objectives:(Array.to_list spec) ~target (fun on_record ->
+        ignore
+          (P.Driver.run ~seed:1 ~on_record ~resilience:P.Resilience.none ~scenario ~target
+             ~algorithm:(D.Multi_objective.of_proposer proposer ~spec)
+             ~budget:(P.Driver.Iterations iterations) ()))
+  in
+  let model =
+    D.Dtm_multi.snapshot_to_floats (D.Dtm_multi.export (D.Multi_objective.model proposer))
+  in
+  [ "ledger " ^ ledger; "export " ^ floats_digest model ]
+
+let runs = [ ("sim-linux-nginx-deeptune", nginx_deeptune); ("flash-crowd-multi", flash_crowd_multi) ]
+
+let golden_path name = Filename.concat "golden" (name ^ ".digest")
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let check_run name compute () =
+  let expected = read_lines (golden_path name) in
+  let actual = compute () in
+  Alcotest.(check (list string)) (name ^ " digests") expected actual
+
+let () =
+  match Array.to_list Sys.argv with
+  | [ _; "--print"; name ] -> List.iter print_endline ((List.assoc name runs) ())
+  | _ ->
+    Alcotest.run "golden"
+      [ ( "golden",
+          List.map
+            (fun (name, compute) -> Alcotest.test_case name `Quick (check_run name compute))
+            runs ) ]
