@@ -92,7 +92,38 @@ let value_token = function
    a bounded prefix of the structure and silently conflates configurations
    that differ past the ~10th parameter. *)
 let config_key config =
-  String.concat "," (Array.to_list (Array.map value_token config))
+  (* The bytes of [String.concat "," (Array.to_list (Array.map value_token
+     config))], written into one buffer: no token strings, no list. *)
+  let b = Buffer.create (Array.length config * 6) in
+  (* Decimal digits of [n <= 0] without the sign, so [min_int] needs no
+     negation. *)
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  let add_int n =
+    if n < 0 then begin
+      Buffer.add_char b '-';
+      digits n
+    end
+    else digits (-n)
+  in
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char b ',';
+      match v with
+      | Vbool x -> Buffer.add_string b (if x then "b1" else "b0")
+      | Vtristate n ->
+        Buffer.add_char b 't';
+        add_int n
+      | Vint n ->
+        Buffer.add_char b 'i';
+        add_int n
+      | Vcat n ->
+        Buffer.add_char b 'c';
+        add_int n)
+    config;
+  Buffer.contents b
 
 let value_of_token s =
   if String.length s < 2 then None

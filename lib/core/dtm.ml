@@ -98,10 +98,27 @@ let normalizer t = match t.normalizer with Some n -> n | None -> identity_normal
    branch still flags such samples as maximally uncertain. *)
 let z_clip = 6.
 
-let normalize_input nz x =
-  Array.map
-    (fun v -> Stdlib.max (-.z_clip) (Stdlib.min z_clip v))
-    (Dataset.normalize_features nz x)
+(* [max (−z_clip) (min z_clip (zscore v))] for feature [j], NaN passing
+   through — written out rather than via [Stat.zscore] and
+   [Stdlib.min]/[max] so no float is boxed per feature. *)
+let[@inline] normalize_feature nz j v =
+  let z = (v -. nz.Dataset.means.(j)) /. nz.Dataset.stds.(j) in
+  if z_clip <= z then z_clip else if -.z_clip >= z then -.z_clip else z
+
+let normalize_rows nz xs =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Dtm.normalize_rows: no rows";
+  let d = Array.length nz.Dataset.means in
+  let m = Mat.zeros n d in
+  let md = m.Mat.data in
+  Array.iteri
+    (fun i x ->
+      if Vec.dim x <> d then invalid_arg "Dtm.normalize_rows: feature dimension mismatch";
+      for j = 0 to d - 1 do
+        md.{(i * d) + j} <- normalize_feature nz j x.(j)
+      done)
+    xs;
+  m
 
 (* ------------------------------------------------------------------ *)
 (* Prediction                                                          *)
@@ -115,81 +132,57 @@ type prediction = {
   uncertainty : float;
 }
 
-(* The dense activations the RBF branch consumes: the trunk records one
-   matrix per dense layer during the forward pass. *)
-let rbf_uncertainty t hidden =
-  let layer_scores =
-    Array.mapi
-      (fun i z ->
-        let phi = Layer.Rbf.forward t.rbf_layers.(i) z in
-        (* Max activation of the first (only) row. *)
-        let best = ref 0. in
-        for k = 0 to phi.Mat.cols - 1 do
-          if Mat.get phi 0 k > !best then best := Mat.get phi 0 k
-        done;
-        !best)
-      (Array.of_list hidden)
-  in
-  1. -. (Array.fold_left ( +. ) 0. layer_scores /. float_of_int (Array.length layer_scores))
-
-let predict t x =
-  if Vec.dim x <> t.in_dim then invalid_arg "Dtm.predict: feature dimension mismatch";
-  let nz = normalizer t in
-  let xn = normalize_input nz x in
-  let batch = Mat.of_rows [| xn |] in
+(* One forward pass over a batch of normalised rows.  Dense rows are
+   independent dot products, ReLU is elementwise, dropout is identity at
+   inference and the RBF activations are computed row by row, so row [i]
+   of the result does not depend on the other rows of the batch — a
+   one-row batch is [predict], and the batch form only turns n small
+   matmuls into one large one (which the ambient domain pool can then
+   split across cores). *)
+let predict_rows t nz batch =
   let h = Network.forward t.trunk ~train:false t.rng batch in
   let hidden = Network.hidden_after_forward t.trunk in
-  let crash_logit = Mat.get (Network.forward t.crash_head ~train:false t.rng h) 0 0 in
-  let perf = Network.forward t.perf_head ~train:false t.rng h in
-  let mu = Mat.get perf 0 0 and log_var = Mat.get perf 0 1 in
-  { crash_probability = Loss.sigmoid crash_logit;
-    performance = Dataset.denormalize_target nz mu;
-    normalized_performance = mu;
-    aleatoric_std = Dataset.denormalize_std nz (sqrt (exp (min 20. log_var)));
-    uncertainty = rbf_uncertainty t hidden }
+  let crash_out = (Network.forward t.crash_head ~train:false t.rng h).Mat.data in
+  let perf_out = (Network.forward t.perf_head ~train:false t.rng h).Mat.data in
+  let phis =
+    Array.mapi (fun li z -> Layer.Rbf.forward t.rbf_layers.(li) z) (Array.of_list hidden)
+  in
+  let n_layers = float_of_int (Array.length phis) in
+  Array.init batch.Mat.rows (fun i ->
+      let crash_logit = crash_out.{i} in
+      let mu = perf_out.{2 * i} and log_var = perf_out.{(2 * i) + 1} in
+      (* σ̂ = 1 − mean over layers of the row's max activation. *)
+      let acc = ref 0. in
+      Array.iter
+        (fun phi ->
+          let m = phi.Mat.cols and pd = phi.Mat.data in
+          let best = ref 0. in
+          for k = 0 to m - 1 do
+            let v = pd.{(i * m) + k} in
+            if v > !best then best := v
+          done;
+          acc := !acc +. !best)
+        phis;
+      { crash_probability = Loss.sigmoid crash_logit;
+        performance = Dataset.denormalize_target nz mu;
+        normalized_performance = mu;
+        aleatoric_std = Dataset.denormalize_std nz (sqrt (exp (min 20. log_var)));
+        uncertainty = 1. -. (!acc /. n_layers) })
 
-(* One forward pass over the whole batch.  Dense rows are independent dot
-   products, ReLU is elementwise, dropout is identity at inference and the
-   RBF activations are computed row by row, so element [i] of the result
-   is bitwise identical to [predict t xs.(i)] — the batch form only turns
-   n small matmuls into one large one (which the ambient domain pool can
-   then split across cores). *)
 let predict_batch t xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
+  if Array.length xs = 0 then [||]
   else begin
     Array.iter
       (fun x ->
         if Vec.dim x <> t.in_dim then invalid_arg "Dtm.predict_batch: feature dimension mismatch")
       xs;
     let nz = normalizer t in
-    let batch = Mat.of_rows (Array.map (normalize_input nz) xs) in
-    let h = Network.forward t.trunk ~train:false t.rng batch in
-    let hidden = Network.hidden_after_forward t.trunk in
-    let crash_out = Network.forward t.crash_head ~train:false t.rng h in
-    let perf_out = Network.forward t.perf_head ~train:false t.rng h in
-    let phis =
-      Array.mapi (fun li z -> Layer.Rbf.forward t.rbf_layers.(li) z) (Array.of_list hidden)
-    in
-    let n_layers = float_of_int (Array.length phis) in
-    Array.init n (fun i ->
-        let crash_logit = Mat.get crash_out i 0 in
-        let mu = Mat.get perf_out i 0 and log_var = Mat.get perf_out i 1 in
-        let acc = ref 0. in
-        Array.iter
-          (fun phi ->
-            let best = ref 0. in
-            for k = 0 to phi.Mat.cols - 1 do
-              if Mat.get phi i k > !best then best := Mat.get phi i k
-            done;
-            acc := !acc +. !best)
-          phis;
-        { crash_probability = Loss.sigmoid crash_logit;
-          performance = Dataset.denormalize_target nz mu;
-          normalized_performance = mu;
-          aleatoric_std = Dataset.denormalize_std nz (sqrt (exp (min 20. log_var)));
-          uncertainty = 1. -. (!acc /. n_layers) })
+    predict_rows t nz (normalize_rows nz xs)
   end
+
+let predict t x =
+  if Vec.dim x <> t.in_dim then invalid_arg "Dtm.predict: feature dimension mismatch";
+  (predict_batch t [| x |]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Training                                                            *)
@@ -201,7 +194,7 @@ let zero_losses = { cce = 0.; reg = 0.; chamfer = 0. }
 
 let train_batch t nz batch =
   let b = Array.length batch in
-  let x = Mat.of_rows (Array.map (fun r -> normalize_input nz r.Dataset.features) batch) in
+  let x = normalize_rows nz (Array.map (fun r -> r.Dataset.features) batch) in
   let crash_labels = Array.map (fun r -> if r.Dataset.crashed then 1. else 0.) batch in
   let targets = Array.map (fun r -> Dataset.normalize_target nz r.Dataset.target) batch in
   let mask = Array.map (fun r -> not r.Dataset.crashed) batch in
@@ -218,10 +211,14 @@ let train_batch t nz batch =
   in
   let l_reg, (dmu, ds) = Loss.heteroscedastic ~mu ~log_var ~targets ~mask in
   (* Backward through the heads into the trunk. *)
-  let dcrash = Mat.init b 1 (fun i _ -> dlogits.(i)) in
-  let dperf = Mat.init b 2 (fun i j -> if j = 0 then dmu.(i) else ds.(i)) in
+  let dcrash = Mat.of_array b 1 dlogits in
+  let dperf = Mat.zeros b 2 in
+  for i = 0 to b - 1 do
+    dperf.Mat.data.{2 * i} <- dmu.(i);
+    dperf.Mat.data.{(2 * i) + 1} <- ds.(i)
+  done;
   let dh = Mat.add (Network.backward t.crash_head dcrash) (Network.backward t.perf_head dperf) in
-  ignore (Network.backward t.trunk dh);
+  Network.backward_params t.trunk dh;
   (* Chamfer regularisation fits the RBF centroids to the trunk's
      activations; its gradient targets only the centroids (the uncertainty
      branch does not back-propagate into the prediction branch). *)
@@ -314,23 +311,39 @@ let feature_sensitivity t dataset =
       if n <= max_sensitivity_rows then rows
       else Array.init max_sensitivity_rows (fun i -> rows.(i * n / max_sensitivity_rows))
     in
-    Array.init t.in_dim (fun j ->
-        let column = Array.map (fun r -> r.Dataset.features.(j)) rows in
-        let lo = Wayfinder_tensor.Stat.quantile column 0.1 in
-        let hi = Wayfinder_tensor.Stat.quantile column 0.9 in
+    let s = Array.length sample and d = t.in_dim in
+    let nz = normalizer t in
+    (* Normalisation is elementwise, so a sampled row with feature [j] set
+       to [hi] normalises to the normalised row with column [j] set to
+       the clipped z-score of [hi].  Rows [0, s) of [probe] are the "up"
+       copies and rows [s, 2s) the "down" copies; one batched forward per
+       feature replaces 2·s scalar predicts, with the same result bits. *)
+    let base = normalize_rows nz (Array.map (fun r -> r.Dataset.features) sample) in
+    let probe = Mat.zeros (2 * s) d in
+    let pd = probe.Mat.data in
+    let column = Array.make n 0. in
+    Array.init d (fun j ->
+        for i = 0 to n - 1 do
+          column.(i) <- rows.(i).Dataset.features.(j)
+        done;
+        Array.sort Float.compare column;
+        let lo = Wayfinder_tensor.Stat.quantile_sorted column 0.1 in
+        let hi = Wayfinder_tensor.Stat.quantile_sorted column 0.9 in
         if hi -. lo < 1e-12 then 0.
         else begin
+          let z_hi = normalize_feature nz j hi and z_lo = normalize_feature nz j lo in
+          Bigarray.Array1.blit base.Mat.data (Bigarray.Array1.sub pd 0 (s * d));
+          Bigarray.Array1.blit base.Mat.data (Bigarray.Array1.sub pd (s * d) (s * d));
+          for i = 0 to s - 1 do
+            pd.{(i * d) + j} <- z_hi;
+            pd.{((s + i) * d) + j} <- z_lo
+          done;
+          let preds = predict_rows t nz probe in
           let acc = ref 0. in
-          Array.iter
-            (fun r ->
-              let v = Vec.copy r.Dataset.features in
-              v.(j) <- hi;
-              let up = (predict t v).performance in
-              v.(j) <- lo;
-              let down = (predict t v).performance in
-              acc := !acc +. (up -. down))
-            sample;
-          !acc /. float_of_int (Array.length sample)
+          for i = 0 to s - 1 do
+            acc := !acc +. (preds.(i).performance -. preds.(s + i).performance)
+          done;
+          !acc /. float_of_int s
         end)
   end
 

@@ -64,6 +64,13 @@ type prediction = {
   uncertainty : float;  (** σ̂ ∈ \[0, 1\] from the RBF branch. *)
 }
 
+val normalize_rows : Dataset.normalizer -> Vec.t array -> Wayfinder_tensor.Mat.t
+(** The batch matrix the network consumes: row [i] is [xs.(i)] z-scored
+    with the normaliser's feature statistics and clamped to [±6] (a
+    feature that was constant in training has an epsilon deviation, and
+    the clamp keeps a fresh value there from blowing the trunk up).
+    @raise Invalid_argument on no rows or a row of the wrong dimension. *)
+
 val predict : t -> Vec.t -> prediction
 (** Raw (un-normalised) feature vector in, prediction out.  Before any
     {!train} call the model returns its untrained outputs. *)

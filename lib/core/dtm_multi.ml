@@ -1,3 +1,4 @@
+module Dataset = Wayfinder_tensor.Dataset
 module Vec = Wayfinder_tensor.Vec
 module Mat = Wayfinder_tensor.Mat
 module Rng = Wayfinder_tensor.Rng
@@ -27,8 +28,6 @@ type t = {
   mutable t_means : float array;
   mutable t_stds : float array;
 }
-
-let z_clip = 6.
 
 let create ?(config = Dtm.default_config) rng ~in_dim ~n_metrics =
   if n_metrics < 1 then invalid_arg "Dtm_multi.create: n_metrics < 1";
@@ -83,12 +82,10 @@ let add t row =
   t.rows <- row :: t.rows;
   t.count <- t.count + 1
 
-let normalize_features t x =
-  Array.mapi
-    (fun j v ->
-      let z = Stat.zscore ~mean:t.f_means.(j) ~std:t.f_stds.(j) v in
-      Stdlib.max (-.z_clip) (Stdlib.min z_clip z))
-    x
+let normalize_rows t xs =
+  Dtm.normalize_rows
+    { Dataset.means = t.f_means; stds = t.f_stds; t_mean = 0.; t_std = 1. }
+    xs
 
 type prediction = {
   crash_probability : float;
@@ -101,10 +98,10 @@ let rbf_uncertainty t hidden =
   let scores =
     List.mapi
       (fun i z ->
-        let phi = Layer.Rbf.forward t.rbf_layers.(i) z in
+        let phi = (Layer.Rbf.forward t.rbf_layers.(i) z).Mat.data in
         let best = ref 0. in
-        for k = 0 to phi.Mat.cols - 1 do
-          if Mat.get phi 0 k > !best then best := Mat.get phi 0 k
+        for k = 0 to Bigarray.Array1.dim phi - 1 do
+          if phi.{k} > !best then best := phi.{k}
         done;
         !best)
       hidden
@@ -113,7 +110,7 @@ let rbf_uncertainty t hidden =
 
 let predict t x =
   if Vec.dim x <> t.in_dim then invalid_arg "Dtm_multi.predict: feature dim mismatch";
-  let batch = Mat.of_rows [| normalize_features t x |] in
+  let batch = normalize_rows t [| x |] in
   let h = Network.forward t.trunk ~train:false t.rng batch in
   let hidden = Network.hidden_after_forward t.trunk in
   let crash_logit = Mat.get (Network.forward t.crash_head ~train:false t.rng h) 0 0 in
@@ -126,10 +123,9 @@ let predict t x =
     uncertainty = rbf_uncertainty t hidden }
 
 let refit_normalizers t =
-  let all = Array.of_list t.rows in
+  let features = Array.of_list (List.map (fun r -> r.features) t.rows) in
   for j = 0 to t.in_dim - 1 do
-    let column = Array.map (fun r -> r.features.(j)) all in
-    let m, s = Stat.zscore_params column in
+    let m, s = Stat.column_zscore_params features j in
     t.f_means.(j) <- m;
     t.f_stds.(j) <- s
   done;
@@ -147,7 +143,7 @@ let refit_normalizers t =
 
 let train_batch t batch =
   let b = Array.length batch in
-  let x = Mat.of_rows (Array.map (fun r -> normalize_features t r.features) batch) in
+  let x = normalize_rows t (Array.map (fun r -> r.features) batch) in
   let crash_labels = Array.map (fun r -> if r.crashed then 1. else 0.) batch in
   let mask = Array.map (fun r -> not r.crashed) batch in
   let h = Network.forward t.trunk ~train:true t.rng x in
@@ -167,14 +163,15 @@ let train_batch t batch =
       Array.map (fun r -> (r.targets.(k) -. t.t_means.(k)) /. t.t_stds.(k)) batch
     in
     let _, (dmu, ds) = Loss.heteroscedastic ~mu ~log_var ~targets ~mask in
+    let w = 2 * t.n_metrics in
     for i = 0 to b - 1 do
-      Mat.set dperf i (2 * k) dmu.(i);
-      Mat.set dperf i ((2 * k) + 1) ds.(i)
+      dperf.Mat.data.{(i * w) + (2 * k)} <- dmu.(i);
+      dperf.Mat.data.{(i * w) + (2 * k) + 1} <- ds.(i)
     done
   done;
-  let dcrash = Mat.init b 1 (fun i _ -> dlogits.(i)) in
+  let dcrash = Mat.of_array b 1 dlogits in
   let dh = Mat.add (Network.backward t.crash_head dcrash) (Network.backward t.perf_head dperf) in
-  ignore (Network.backward t.trunk dh);
+  Network.backward_params t.trunk dh;
   List.iteri
     (fun i z ->
       let rbf = t.rbf_layers.(i) in

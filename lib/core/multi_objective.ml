@@ -84,20 +84,21 @@ let generate_pool t =
 let propose t =
   if t.observed < t.options.Deeptune.warmup then fresh t
   else begin
+    let pool = generate_pool t in
+    let xs = Array.of_list (List.map (Encoding.encode t.encoding) pool) in
+    let dss = Scoring.dissimilarities xs t.known in
     let scored =
-      List.map
-        (fun config ->
-          let x = Encoding.encode t.encoding config in
-          let p = Dtm_multi.predict t.model x in
-          let ds = Scoring.dissimilarity x t.known in
+      List.mapi
+        (fun i config ->
+          let p = Dtm_multi.predict t.model xs.(i) in
           let r =
             rank ~alpha:t.options.Deeptune.alpha
               ~exploration_weight:t.options.Deeptune.exploration_weight
               ~crash_penalty:t.options.Deeptune.crash_penalty ~objectives:t.objectives
-              ~prediction:p ~dissimilarity:ds ()
+              ~prediction:p ~dissimilarity:dss.(i) ()
           in
           (config, p, r))
-        (generate_pool t)
+        pool
     in
     let admissible =
       match t.options.Deeptune.crash_gate with

@@ -19,6 +19,11 @@ module Vec = Wayfinder_tensor.Vec
 val dissimilarity : Vec.t -> Vec.t list -> float
 (** [ds(x, X)] per eq. 2; 1.0 when [X] is empty (everything is novel). *)
 
+val dissimilarities : Vec.t array -> Vec.t list -> float array
+(** [Array.map (fun x -> dissimilarity x known) xs], bit for bit, from one
+    {!Wayfinder_tensor.Mat.pairwise_sq_dist} over the whole batch.
+    @raise Invalid_argument if the vectors' dimensions differ. *)
+
 val score : ?alpha:float -> dissimilarity:float -> uncertainty:float -> unit -> float
 (** [sf] per eq. 3; α defaults to 0.5.
     @raise Invalid_argument if α outside [\[0, 1\]]. *)

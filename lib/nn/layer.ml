@@ -28,30 +28,23 @@ module Dense = struct
   let forward t x =
     t.last_input <- Some x;
     let y = Mat.matmul x t.w.value in
-    for i = 0 to y.Mat.rows - 1 do
-      for j = 0 to y.Mat.cols - 1 do
-        Mat.set y i j (Mat.get y i j +. Mat.get t.b.value 0 j)
-      done
-    done;
+    Mat.add_row_into ~dst:y t.b.value;
     y
 
-  let backward t dy =
+  let backward_params t dy =
     let x =
       match t.last_input with
       | Some x -> x
       | None -> invalid_arg "Dense.backward: no forward pass recorded"
     in
-    (* dW += xᵀ · dy ; db += column sums of dy ; dX = dy · Wᵀ *)
-    let dw = Mat.matmul (Mat.transpose x) dy in
-    Mat.add_into ~dst:t.w.grad dw;
-    for j = 0 to dy.Mat.cols - 1 do
-      let acc = ref 0. in
-      for i = 0 to dy.Mat.rows - 1 do
-        acc := !acc +. Mat.get dy i j
-      done;
-      Mat.set t.b.grad 0 j (Mat.get t.b.grad 0 j +. !acc)
-    done;
-    Mat.matmul dy (Mat.transpose t.w.value)
+    (* dW += xᵀ · dy ; db += column sums of dy *)
+    Mat.add_into ~dst:t.w.grad (Mat.matmul_tn x dy);
+    Mat.add_col_sums_into ~dst:t.b.grad dy
+
+  let backward t dy =
+    backward_params t dy;
+    (* dX = dy · Wᵀ *)
+    Mat.matmul_nt dy t.w.value
 
   let params t = [ t.w; t.b ]
 
@@ -70,13 +63,12 @@ module Relu = struct
 
   let forward t x =
     t.last_input <- Some x;
-    Mat.map (fun v -> if v > 0. then v else 0.) x
+    Mat.relu x
 
   let backward t dy =
     match t.last_input with
     | None -> invalid_arg "Relu.backward: no forward pass recorded"
-    | Some x ->
-      Mat.map2 (fun xi g -> if xi > 0. then g else 0.) x dy
+    | Some x -> Mat.relu_backward x dy
 end
 
 module Dropout = struct
@@ -94,8 +86,7 @@ module Dropout = struct
       x
     end
     else begin
-      let keep = 1. -. t.rate in
-      let mask = Mat.map (fun _ -> if Rng.bernoulli rng keep then 1. /. keep else 0.) x in
+      let mask = Mat.dropout_mask rng ~keep:(1. -. t.rate) x.Mat.rows x.Mat.cols in
       t.mask <- Some mask;
       Mat.hadamard x mask
     end
@@ -128,16 +119,11 @@ module Rbf = struct
     let d = t.c.value.Mat.cols in
     if z.Mat.cols <> d then invalid_arg "Rbf.forward: input dimension mismatch";
     let denom = 2. *. t.gamma *. t.gamma in
-    let phi = Mat.zeros z.Mat.rows m in
-    for i = 0 to z.Mat.rows - 1 do
-      for k = 0 to m - 1 do
-        let acc = ref 0. in
-        for j = 0 to d - 1 do
-          let delta = Mat.get z i j -. Mat.get t.c.value k j in
-          acc := !acc +. (delta *. delta)
-        done;
-        Mat.set phi i k (exp (-. !acc /. denom))
-      done
+    (* φ(i,k) = exp(−‖z_i − c_k‖² / 2γ²), overwriting the distances. *)
+    let phi = Mat.pairwise_sq_dist z t.c.value in
+    let pd = phi.Mat.data in
+    for i = 0 to (z.Mat.rows * m) - 1 do
+      pd.{i} <- exp (-. pd.{i} /. denom)
     done;
     t.last_input <- Some z;
     t.last_output <- Some phi;

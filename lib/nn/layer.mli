@@ -33,6 +33,10 @@ module Dense : sig
   (** [backward t dy] accumulates weight/bias gradients and returns
       [dL/dx].  Must follow a [forward] on the matching batch. *)
 
+  val backward_params : t -> Mat.t -> unit
+  (** {!backward} without computing [dL/dx]: the same weight/bias
+      gradient accumulation, for a layer whose input needs no gradient. *)
+
   val params : t -> tensor list
   val copy : t -> t
   (** Deep copy of weights (gradients reset); used for transfer learning. *)

@@ -77,48 +77,45 @@ let chamfer ~points ~centroids =
   let grad = Mat.zeros m d in
   if n = 0 || m = 0 then (0., grad)
   else begin
-    let sq_dist i k =
-      let acc = ref 0. in
+    (* Every point-to-centroid distance once; both directions below read
+       the same n×m matrix. *)
+    let dist = (Mat.pairwise_sq_dist points centroids).Mat.data in
+    let pd = points.Mat.data and cd = centroids.Mat.data and gd = grad.Mat.data in
+    (* grad(k) += 2·(c_k − p_i)·scale *)
+    let pull k i scale =
       for j = 0 to d - 1 do
-        let delta = Mat.get points i j -. Mat.get centroids k j in
-        acc := !acc +. (delta *. delta)
-      done;
-      !acc
+        let delta = cd.{(k * d) + j} -. pd.{(i * d) + j} in
+        gd.{(k * d) + j} <- gd.{(k * d) + j} +. (2. *. delta *. scale)
+      done
     in
     (* Points → nearest centroid. *)
     let loss = ref 0. in
     let scale_p = 1. /. float_of_int n in
     for i = 0 to n - 1 do
-      let best = ref 0 and best_d = ref (sq_dist i 0) in
+      let best = ref 0 and best_d = ref dist.{i * m} in
       for k = 1 to m - 1 do
-        let dk = sq_dist i k in
+        let dk = dist.{(i * m) + k} in
         if dk < !best_d then begin
           best := k;
           best_d := dk
         end
       done;
       loss := !loss +. (!best_d *. scale_p);
-      for j = 0 to d - 1 do
-        let delta = Mat.get centroids !best j -. Mat.get points i j in
-        Mat.set grad !best j (Mat.get grad !best j +. (2. *. delta *. scale_p))
-      done
+      pull !best i scale_p
     done;
     (* Centroids → nearest point. *)
     let scale_c = 1. /. float_of_int m in
     for k = 0 to m - 1 do
-      let best = ref 0 and best_d = ref (sq_dist 0 k) in
+      let best = ref 0 and best_d = ref dist.{k} in
       for i = 1 to n - 1 do
-        let di = sq_dist i k in
+        let di = dist.{(i * m) + k} in
         if di < !best_d then begin
           best := i;
           best_d := di
         end
       done;
       loss := !loss +. (!best_d *. scale_c);
-      for j = 0 to d - 1 do
-        let delta = Mat.get centroids k j -. Mat.get points !best j in
-        Mat.set grad k j (Mat.get grad k j +. (2. *. delta *. scale_c))
-      done
+      pull k !best scale_c
     done;
     (!loss, grad)
   end

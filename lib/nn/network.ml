@@ -52,16 +52,29 @@ let forward t ?(train = true) rng x =
       | L_dropout l -> Layer.Dropout.forward l ~train rng acc)
     x t.layers
 
+let backward_layer layer dy =
+  match layer with
+  | L_dense l -> Layer.Dense.backward l dy
+  | L_relu l -> Layer.Relu.backward l dy
+  | L_dropout l -> Layer.Dropout.backward l dy
+
 let backward t dy =
   let acc = ref dy in
   for i = Array.length t.layers - 1 downto 0 do
-    acc :=
-      (match t.layers.(i) with
-      | L_dense l -> Layer.Dense.backward l !acc
-      | L_relu l -> Layer.Relu.backward l !acc
-      | L_dropout l -> Layer.Dropout.backward l !acc)
+    acc := backward_layer t.layers.(i) !acc
   done;
   !acc
+
+let backward_params t dy =
+  let acc = ref dy in
+  for i = Array.length t.layers - 1 downto 1 do
+    acc := backward_layer t.layers.(i) !acc
+  done;
+  (* [create] guarantees layer 0 is dense; nothing consumes its input
+     gradient. *)
+  match t.layers.(0) with
+  | L_dense l -> Layer.Dense.backward_params l !acc
+  | L_relu _ | L_dropout _ -> assert false
 
 let params t =
   Array.to_list t.layers

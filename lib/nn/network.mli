@@ -24,6 +24,14 @@ val forward : t -> ?train:bool -> Rng.t -> Mat.t -> Mat.t
 (** With [train = false], dropout is disabled (inference mode). *)
 
 val backward : t -> Mat.t -> Mat.t
+(** Accumulates every parameter gradient and returns the gradient with
+    respect to the network's input. *)
+
+val backward_params : t -> Mat.t -> unit
+(** [backward] without the input gradient: the same parameter gradients,
+    bit for bit, minus the first layer's [dy · Wᵀ] product — for networks
+    whose input is data, not an upstream activation. *)
+
 val params : t -> Layer.tensor list
 val copy : t -> t
 

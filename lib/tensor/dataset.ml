@@ -33,11 +33,11 @@ type normalizer = { means : Vec.t; stds : Vec.t; t_mean : float; t_std : float }
 let fit_normalizer t =
   if t.count = 0 then invalid_arg "Dataset.fit_normalizer: empty dataset";
   let all = rows t in
-  let d = Vec.dim all.(0).features in
+  let features = Array.map (fun r -> r.features) all in
+  let d = Vec.dim features.(0) in
   let means = Vec.zeros d and stds = Vec.create d 1. in
   for j = 0 to d - 1 do
-    let column = Array.map (fun r -> r.features.(j)) all in
-    let m, s = Stat.zscore_params column in
+    let m, s = Stat.column_zscore_params features j in
     means.(j) <- m;
     stds.(j) <- s
   done;

@@ -35,12 +35,26 @@ let copy m =
 let get m i j = m.data.{(i * m.cols) + j}
 let set m i j x = m.data.{(i * m.cols) + j} <- x
 
-let to_array m = Array.init (numel m) (fun i -> m.data.{i})
+(* Hot loops stay inside this module.  The dev build compiles with
+   [-opaque], so nothing is inlined across modules: each [get]/[set] made
+   from another module is a real call that boxes its float (~2 minor
+   words), and so does every element a [map]/[init] closure returns.  The
+   whole-matrix kernels below read and write [data] directly instead. *)
+
+let to_array m =
+  let n = numel m in
+  let a = Array.make n 0. in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get m.data i)
+  done;
+  a
 
 let of_array rows cols a =
   if Array.length a <> rows * cols then invalid_arg "Mat.of_array: length mismatch";
   let data = alloc (rows * cols) in
-  Array.iteri (fun i x -> data.{i} <- x) a;
+  for i = 0 to (rows * cols) - 1 do
+    Bigarray.Array1.unsafe_set data i (Array.unsafe_get a i)
+  done;
   { rows; cols; data }
 
 let blit_from_array ?(src_pos = 0) a m =
@@ -48,16 +62,33 @@ let blit_from_array ?(src_pos = 0) a m =
   if src_pos < 0 || src_pos + n > Array.length a then
     invalid_arg "Mat.blit_from_array: source too short";
   for i = 0 to n - 1 do
-    m.data.{i} <- a.(src_pos + i)
+    Bigarray.Array1.unsafe_set m.data i (Array.unsafe_get a (src_pos + i))
   done
 
-let row m i = Array.init m.cols (fun j -> get m i j)
-let col m j = Array.init m.rows (fun i -> get m i j)
+let row m i =
+  if i < 0 || i >= m.rows then invalid_arg "Mat.row: index out of bounds";
+  let r = Array.make m.cols 0. in
+  let base = i * m.cols in
+  for j = 0 to m.cols - 1 do
+    Array.unsafe_set r j (Bigarray.Array1.unsafe_get m.data (base + j))
+  done;
+  r
+
+let col m j =
+  if j < 0 || j >= m.cols then invalid_arg "Mat.col: index out of bounds";
+  let c = Array.make m.rows 0. in
+  for i = 0 to m.rows - 1 do
+    Array.unsafe_set c i (Bigarray.Array1.unsafe_get m.data ((i * m.cols) + j))
+  done;
+  c
 
 let set_row m i v =
   if Array.length v <> m.cols then invalid_arg "Mat.set_row: dimension mismatch";
+  if i < 0 || i >= m.rows then invalid_arg "Mat.set_row: index out of bounds";
   let base = i * m.cols in
-  Array.iteri (fun j x -> m.data.{base + j} <- x) v
+  for j = 0 to m.cols - 1 do
+    Bigarray.Array1.unsafe_set m.data (base + j) (Array.unsafe_get v j)
+  done
 
 let of_rows rows =
   match Array.length rows with
@@ -73,7 +104,16 @@ let of_rows rows =
     m
 
 let to_rows m = Array.init m.rows (row m)
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
+
+let transpose m =
+  let r = m.rows and c = m.cols in
+  let src = m.data and dst = alloc (r * c) in
+  for i = 0 to r - 1 do
+    for j = 0 to c - 1 do
+      Bigarray.Array1.unsafe_set dst ((j * r) + i) (Bigarray.Array1.unsafe_get src ((i * c) + j))
+    done
+  done;
+  { rows = c; cols = r; data = dst }
 
 let check_same name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
@@ -87,9 +127,36 @@ let elementwise name f a b =
   done;
   c
 
-let add a b = elementwise "add" ( +. ) a b
-let sub a b = elementwise "sub" ( -. ) a b
-let hadamard a b = elementwise "hadamard" ( *. ) a b
+(* [add]/[sub]/[hadamard] spell their loops out: going through
+   [elementwise] would call the operator as a closure and box every
+   element. *)
+let add a b =
+  check_same "add" a b;
+  let ad = a.data and bd = b.data and cd = alloc (numel a) in
+  for i = 0 to numel a - 1 do
+    Bigarray.Array1.unsafe_set cd i
+      (Bigarray.Array1.unsafe_get ad i +. Bigarray.Array1.unsafe_get bd i)
+  done;
+  { a with data = cd }
+
+let sub a b =
+  check_same "sub" a b;
+  let ad = a.data and bd = b.data and cd = alloc (numel a) in
+  for i = 0 to numel a - 1 do
+    Bigarray.Array1.unsafe_set cd i
+      (Bigarray.Array1.unsafe_get ad i -. Bigarray.Array1.unsafe_get bd i)
+  done;
+  { a with data = cd }
+
+let hadamard a b =
+  check_same "hadamard" a b;
+  let ad = a.data and bd = b.data and cd = alloc (numel a) in
+  for i = 0 to numel a - 1 do
+    Bigarray.Array1.unsafe_set cd i
+      (Bigarray.Array1.unsafe_get ad i *. Bigarray.Array1.unsafe_get bd i)
+  done;
+  { a with data = cd }
+
 let map2 f a b = elementwise "map2" f a b
 
 let scale s m =
@@ -113,50 +180,275 @@ let add_into ~dst src =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Layer kernels                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let check_bias_row name m row =
+  if row.rows <> 1 || row.cols <> m.cols then
+    invalid_arg
+      (Printf.sprintf "Mat.%s: expected a 1x%d row, got %dx%d" name m.cols row.rows row.cols)
+
+let add_row_into ~dst row =
+  check_bias_row "add_row_into" dst row;
+  let dd = dst.data and rd = row.data and n = dst.cols in
+  for i = 0 to dst.rows - 1 do
+    let base = i * n in
+    for j = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set dd (base + j)
+        (Bigarray.Array1.unsafe_get dd (base + j) +. Bigarray.Array1.unsafe_get rd j)
+    done
+  done
+
+(* Column sums are accumulated from 0 with rows ascending, then added to
+   [dst] in one addition per column. *)
+let add_col_sums_into ~dst src =
+  check_bias_row "add_col_sums_into" src dst;
+  let dd = dst.data and sd = src.data and n = src.cols in
+  for j = 0 to n - 1 do
+    let acc = ref 0. in
+    for i = 0 to src.rows - 1 do
+      acc := !acc +. Bigarray.Array1.unsafe_get sd ((i * n) + j)
+    done;
+    Bigarray.Array1.unsafe_set dd j (Bigarray.Array1.unsafe_get dd j +. !acc)
+  done
+
+let relu m =
+  let src = m.data and dst = alloc (numel m) in
+  for i = 0 to numel m - 1 do
+    let v = Bigarray.Array1.unsafe_get src i in
+    Bigarray.Array1.unsafe_set dst i (if v > 0. then v else 0.)
+  done;
+  { m with data = dst }
+
+let relu_backward x dy =
+  check_same "relu_backward" x dy;
+  let xd = x.data and gd = dy.data and dst = alloc (numel x) in
+  for i = 0 to numel x - 1 do
+    Bigarray.Array1.unsafe_set dst i
+      (if Bigarray.Array1.unsafe_get xd i > 0. then Bigarray.Array1.unsafe_get gd i else 0.)
+  done;
+  { x with data = dst }
+
+let dropout_mask rng ~keep rows cols =
+  let data = alloc (rows * cols) in
+  let scale = 1. /. keep in
+  for i = 0 to (rows * cols) - 1 do
+    Bigarray.Array1.unsafe_set data i (if Rng.bernoulli rng keep then scale else 0.)
+  done;
+  { rows; cols; data }
+
+(* d(i,k) = Σ_j (a(i,j) − b(k,j))², accumulated from 0 with j ascending —
+   the order of {!Vec.sq_dist}.  Like the product kernel below, the loop
+   is blocked over two rows of [a] and four rows of [b], each of the eight
+   distances with its own accumulator: the dependency chains overlap
+   instead of each addition waiting on the previous one, and no addition
+   is reordered. *)
+let pairwise_sq_dist a b =
+  if a.cols <> b.cols then
+    invalid_arg
+      (Printf.sprintf "Mat.pairwise_sq_dist: dimension mismatch (%d vs %d)" a.cols b.cols);
+  let n = a.rows and m = b.rows and d = a.cols in
+  let ad = a.data and bd = b.data and out = alloc (n * m) in
+  let pair_quad i k =
+    let acc0 = ref 0. and acc1 = ref 0. and acc2 = ref 0. and acc3 = ref 0. in
+    let acc4 = ref 0. and acc5 = ref 0. and acc6 = ref 0. and acc7 = ref 0. in
+    let a0 = i * d and b0 = k * d in
+    for j = 0 to d - 1 do
+      (* One [b] element at a time keeps few floats live, so the eight
+         accumulators stay in registers. *)
+      let x = Bigarray.Array1.unsafe_get ad (a0 + j)
+      and y = Bigarray.Array1.unsafe_get ad (a0 + d + j) in
+      let c = Bigarray.Array1.unsafe_get bd (b0 + j) in
+      let dx = x -. c and dy = y -. c in
+      acc0 := !acc0 +. (dx *. dx);
+      acc4 := !acc4 +. (dy *. dy);
+      let c = Bigarray.Array1.unsafe_get bd (b0 + d + j) in
+      let dx = x -. c and dy = y -. c in
+      acc1 := !acc1 +. (dx *. dx);
+      acc5 := !acc5 +. (dy *. dy);
+      let c = Bigarray.Array1.unsafe_get bd (b0 + (2 * d) + j) in
+      let dx = x -. c and dy = y -. c in
+      acc2 := !acc2 +. (dx *. dx);
+      acc6 := !acc6 +. (dy *. dy);
+      let c = Bigarray.Array1.unsafe_get bd (b0 + (3 * d) + j) in
+      let dx = x -. c and dy = y -. c in
+      acc3 := !acc3 +. (dx *. dx);
+      acc7 := !acc7 +. (dy *. dy)
+    done;
+    let o = (i * m) + k in
+    Bigarray.Array1.unsafe_set out o !acc0;
+    Bigarray.Array1.unsafe_set out (o + 1) !acc1;
+    Bigarray.Array1.unsafe_set out (o + 2) !acc2;
+    Bigarray.Array1.unsafe_set out (o + 3) !acc3;
+    Bigarray.Array1.unsafe_set out (o + m) !acc4;
+    Bigarray.Array1.unsafe_set out (o + m + 1) !acc5;
+    Bigarray.Array1.unsafe_set out (o + m + 2) !acc6;
+    Bigarray.Array1.unsafe_set out (o + m + 3) !acc7
+  in
+  let single i k =
+    let a0 = i * d and b0 = k * d in
+    let acc = ref 0. in
+    for j = 0 to d - 1 do
+      let delta =
+        Bigarray.Array1.unsafe_get ad (a0 + j) -. Bigarray.Array1.unsafe_get bd (b0 + j)
+      in
+      acc := !acc +. (delta *. delta)
+    done;
+    Bigarray.Array1.unsafe_set out ((i * m) + k) !acc
+  in
+  let blocks = m / 4 in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 1 < n then begin
+      for kb = 0 to blocks - 1 do
+        pair_quad !i (kb * 4)
+      done;
+      for k = blocks * 4 to m - 1 do
+        single !i k;
+        single (!i + 1) k
+      done;
+      i := !i + 2
+    end
+    else begin
+      for k = 0 to m - 1 do
+        single !i k
+      done;
+      incr i
+    end
+  done;
+  { rows = n; cols = m; data = out }
+
+(* ------------------------------------------------------------------ *)
 (* Matrix product                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* The one product kernel behind {!matmul}, {!matmul_nt} and {!matmul_tn}:
+   for every row [i] in [lo, hi) and column [j] in [0, n),
+
+     c(i,j) = Σ_k a.{i·ars + k·aks} · b.{k·bks + j·bjs}
+
+   accumulated from 0 with [k] ascending.  Columns are register-blocked
+   four at a time: each of the four outputs keeps its own accumulator and
+   its own k-ascending order, so blocking only shares the load of
+   a(i,k) and never reorders an addition.  The strides let one kernel
+   read either operand transposed in place.  The buffers are annotated
+   [buffer] so every access compiles to an unboxed load. *)
+let gemm_rows ~(ad : buffer) ~ars ~aks ~(bd : buffer) ~bks ~bjs ~(cd : buffer) ~n ~kd lo hi =
+  let blocks = n / 4 in
+  let bjs2 = 2 * bjs and bjs3 = 3 * bjs in
+  (* One row, four columns. *)
+  let row_quad i j =
+    let acc0 = ref 0. and acc1 = ref 0. and acc2 = ref 0. and acc3 = ref 0. in
+    let ai = ref (i * ars) and bi = ref (j * bjs) in
+    for _ = 1 to kd do
+      let x = Bigarray.Array1.unsafe_get ad !ai and b = !bi in
+      acc0 := !acc0 +. (x *. Bigarray.Array1.unsafe_get bd b);
+      acc1 := !acc1 +. (x *. Bigarray.Array1.unsafe_get bd (b + bjs));
+      acc2 := !acc2 +. (x *. Bigarray.Array1.unsafe_get bd (b + bjs2));
+      acc3 := !acc3 +. (x *. Bigarray.Array1.unsafe_get bd (b + bjs3));
+      ai := !ai + aks;
+      bi := b + bks
+    done;
+    let c = (i * n) + j in
+    Bigarray.Array1.unsafe_set cd c !acc0;
+    Bigarray.Array1.unsafe_set cd (c + 1) !acc1;
+    Bigarray.Array1.unsafe_set cd (c + 2) !acc2;
+    Bigarray.Array1.unsafe_set cd (c + 3) !acc3
+  in
+  (* Rows i and i+1, four columns: eight independent accumulators. *)
+  let pair_quad i j =
+    let acc0 = ref 0. and acc1 = ref 0. and acc2 = ref 0. and acc3 = ref 0. in
+    let acc4 = ref 0. and acc5 = ref 0. and acc6 = ref 0. and acc7 = ref 0. in
+    let ai = ref (i * ars) and bi = ref (j * bjs) in
+    for _ = 1 to kd do
+      let a = !ai and b = !bi in
+      let x = Bigarray.Array1.unsafe_get ad a and y = Bigarray.Array1.unsafe_get ad (a + ars) in
+      (* One [b] element at a time keeps few floats live, so the eight
+         accumulators stay in registers. *)
+      let v = Bigarray.Array1.unsafe_get bd b in
+      acc0 := !acc0 +. (x *. v);
+      acc4 := !acc4 +. (y *. v);
+      let v = Bigarray.Array1.unsafe_get bd (b + bjs) in
+      acc1 := !acc1 +. (x *. v);
+      acc5 := !acc5 +. (y *. v);
+      let v = Bigarray.Array1.unsafe_get bd (b + bjs2) in
+      acc2 := !acc2 +. (x *. v);
+      acc6 := !acc6 +. (y *. v);
+      let v = Bigarray.Array1.unsafe_get bd (b + bjs3) in
+      acc3 := !acc3 +. (x *. v);
+      acc7 := !acc7 +. (y *. v);
+      ai := a + aks;
+      bi := b + bks
+    done;
+    let c = (i * n) + j in
+    Bigarray.Array1.unsafe_set cd c !acc0;
+    Bigarray.Array1.unsafe_set cd (c + 1) !acc1;
+    Bigarray.Array1.unsafe_set cd (c + 2) !acc2;
+    Bigarray.Array1.unsafe_set cd (c + 3) !acc3;
+    Bigarray.Array1.unsafe_set cd (c + n) !acc4;
+    Bigarray.Array1.unsafe_set cd (c + n + 1) !acc5;
+    Bigarray.Array1.unsafe_set cd (c + n + 2) !acc6;
+    Bigarray.Array1.unsafe_set cd (c + n + 3) !acc7
+  in
+  let single i j =
+    let acc = ref 0. in
+    let ai = ref (i * ars) and bi = ref (j * bjs) in
+    for _ = 1 to kd do
+      acc := !acc +. (Bigarray.Array1.unsafe_get ad !ai *. Bigarray.Array1.unsafe_get bd !bi);
+      ai := !ai + aks;
+      bi := !bi + bks
+    done;
+    Bigarray.Array1.unsafe_set cd ((i * n) + j) !acc
+  in
+  let i = ref lo in
+  while !i < hi do
+    let paired = !i + 1 < hi in
+    for jb = 0 to blocks - 1 do
+      if paired then pair_quad !i (jb * 4) else row_quad !i (jb * 4)
+    done;
+    for j = blocks * 4 to n - 1 do
+      single !i j;
+      if paired then single (!i + 1) j
+    done;
+    i := !i + if paired then 2 else 1
+  done
 
 (* Products below this many multiply-adds are not worth a trip through
    the domain pool; the pool round-trip costs on the order of a small
    matmul itself. *)
 let par_flop_threshold = 32_768
 
-(* [a : m×k], [b : k×n].  The kernel materializes Bᵀ so both operands
-   stream sequentially (the "transposed" layout), then computes each
-   output element as a dot product with [k] ascending.  Because every
-   c(i,j) is produced by exactly one lane using the identical
-   accumulation order, the result is bitwise identical whether the row
-   range [0, m) is processed inline or split across any number of
-   domains — which is what lets the ambient pool stay invisible to the
-   engine's determinism oracle.  Row chunks double as cache blocking. *)
-let matmul a b =
-  if a.cols <> b.rows then
-    invalid_arg (Printf.sprintf "Mat.matmul: inner dimension mismatch (%d vs %d)" a.cols b.rows);
-  let m = a.rows and n = b.cols and kd = a.cols in
-  let c = zeros m n in
-  let bt = transpose b in
-  let ad = a.data and btd = bt.data and cd = c.data in
-  let rows lo hi =
-    for i = lo to hi - 1 do
-      let abase = i * kd and cbase = i * n in
-      for j = 0 to n - 1 do
-        let bbase = j * kd in
-        let acc = ref 0. in
-        for k = 0 to kd - 1 do
-          acc :=
-            !acc
-            +. Bigarray.Array1.unsafe_get ad (abase + k)
-               *. Bigarray.Array1.unsafe_get btd (bbase + k)
-        done;
-        Bigarray.Array1.unsafe_set cd (cbase + j) !acc
-      done
-    done
-  in
+(* [m×n] result.  Every c(i,j) is produced by exactly one lane with the
+   identical accumulation order, so the result is bitwise identical
+   whether the row range [0, m) is processed inline or split across any
+   number of domains — which is what lets the ambient pool stay invisible
+   to the engine's determinism oracle.  Row chunks double as cache
+   blocking. *)
+let gemm (a : t) ~ars ~aks (b : t) ~bks ~bjs ~m ~n ~kd =
+  let cd = alloc (m * n) in
+  let rows lo hi = gemm_rows ~ad:a.data ~ars ~aks ~bd:b.data ~bks ~bjs ~cd ~n ~kd lo hi in
   (match Domain_pool.get_default () with
   | Some pool when m >= 2 && m * n * kd >= par_flop_threshold ->
     Domain_pool.parallel_for pool m rows
   | _ -> rows 0 m);
-  c
+  { rows = m; cols = n; data = cd }
+
+let matmul a b =
+  if a.cols <> b.rows then
+    invalid_arg (Printf.sprintf "Mat.matmul: inner dimension mismatch (%d vs %d)" a.cols b.rows);
+  gemm a ~ars:a.cols ~aks:1 b ~bks:b.cols ~bjs:1 ~m:a.rows ~n:b.cols ~kd:a.cols
+
+let matmul_nt a b =
+  if a.cols <> b.cols then
+    invalid_arg
+      (Printf.sprintf "Mat.matmul_nt: inner dimension mismatch (%d vs %d)" a.cols b.cols);
+  gemm a ~ars:a.cols ~aks:1 b ~bks:1 ~bjs:b.cols ~m:a.rows ~n:b.rows ~kd:a.cols
+
+let matmul_tn a b =
+  if a.rows <> b.rows then
+    invalid_arg
+      (Printf.sprintf "Mat.matmul_tn: inner dimension mismatch (%d vs %d)" a.rows b.rows);
+  gemm a ~ars:1 ~aks:a.cols b ~bks:b.cols ~bjs:1 ~m:a.cols ~n:b.cols ~kd:a.rows
 
 let mat_vec a x =
   if a.cols <> Array.length x then invalid_arg "Mat.mat_vec: dimension mismatch";

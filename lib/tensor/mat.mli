@@ -6,7 +6,13 @@
     an unboxed, GC-opaque [float64] {!Bigarray.Array1}, so large buffers
     impose no marking work and can be shared read-only across domains.
     {!matmul} runs row-parallel on the ambient {!Domain_pool} when one is
-    installed, with results bitwise identical to the sequential kernel. *)
+    installed, with results bitwise identical to the sequential kernel.
+
+    The neural-network hot paths call whole-matrix kernels ({!matmul_nt},
+    {!matmul_tn}, {!pairwise_sq_dist}, {!relu}, …) rather than looping
+    over {!get}/{!set}: the dev build compiles with [-opaque], so a
+    per-element call from another module cannot be inlined and boxes its
+    float (about 2 minor words per call). *)
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -66,11 +72,54 @@ val add_into : dst:t -> t -> unit
 (** [add_into ~dst src] accumulates [src] into [dst] elementwise. *)
 
 val matmul : t -> t -> t
-(** [matmul a b] with [a : m×k] and [b : k×n] is [m×n].  Uses a
-    transposed, row-blocked kernel; when an ambient {!Domain_pool} is
+(** [matmul a b] with [a : m×k] and [b : k×n] is [m×n].  Every element
+    [c(i,j)] is the dot product accumulated from [0.] with [k] ascending
+    — the order the products below share.  The kernel computes four
+    output columns per pass, each with its own accumulator, so blocking
+    never reorders an addition.  When an ambient {!Domain_pool} is
     installed and the product is large enough, rows are computed in
     parallel with bitwise-identical results.
     @raise Invalid_argument on inner-dimension mismatch. *)
+
+val matmul_nt : t -> t -> t
+(** [matmul_nt a b = matmul a (transpose b)] bit for bit, with
+    [a : m×k], [b : n×k], without materializing [bᵀ].
+    @raise Invalid_argument if the column counts differ. *)
+
+val matmul_tn : t -> t -> t
+(** [matmul_tn a b = matmul (transpose a) b] bit for bit, with
+    [a : k×m], [b : k×n], without materializing [aᵀ].
+    @raise Invalid_argument if the row counts differ. *)
+
+val pairwise_sq_dist : t -> t -> t
+(** [pairwise_sq_dist a b] with [a : n×d], [b : m×d] is the [n×m] matrix
+    whose [(i,k)] element is [Vec.sq_dist (row a i) (row b k)], bit for
+    bit (accumulated from [0.] with the column ascending).
+    @raise Invalid_argument if the column counts differ. *)
+
+(** {1 Layer kernels} *)
+
+val add_row_into : dst:t -> t -> unit
+(** [add_row_into ~dst r] adds the [1×cols] row [r] to every row of [dst]
+    in place (a dense layer's bias).
+    @raise Invalid_argument on a shape mismatch. *)
+
+val add_col_sums_into : dst:t -> t -> unit
+(** [add_col_sums_into ~dst m] adds the column sums of [m] (accumulated
+    from [0.], rows ascending) to the [1×cols] row [dst], one addition per
+    column.  @raise Invalid_argument on a shape mismatch. *)
+
+val relu : t -> t
+(** Elementwise [if v > 0. then v else 0.]. *)
+
+val relu_backward : t -> t -> t
+(** [relu_backward x dy] passes [dy] where [x > 0.] and [0.] elsewhere.
+    @raise Invalid_argument on a shape mismatch. *)
+
+val dropout_mask : Rng.t -> keep:float -> int -> int -> t
+(** [dropout_mask rng ~keep rows cols]: each element, in row-major order,
+    is [1. /. keep] with probability [keep] (one {!Rng.bernoulli} draw)
+    and [0.] otherwise. *)
 
 val mat_vec : t -> Vec.t -> Vec.t
 (** [mat_vec a x = a · x]. *)

@@ -24,15 +24,12 @@ let fold_nonempty name f xs =
 let min xs = fold_nonempty "min" Stdlib.min xs
 let max xs = fold_nonempty "max" Stdlib.max xs
 
-let quantile xs q =
-  if Array.length xs = 0 then invalid_arg "Stat.quantile: empty input";
-  if q < 0. || q > 1. then invalid_arg "Stat.quantile: q outside [0, 1]";
-  let sorted = Array.copy xs in
-  (* Float.compare, not polymorphic compare: the latter is not a total
-     order in the presence of NaN, so a single NaN sample silently
-     corrupts the sort.  Float.compare sorts NaN first; the NaN policy is
-     to propagate — any NaN sample makes the quantile NaN. *)
-  Array.sort Float.compare sorted;
+let check_quantile name xs q =
+  if Array.length xs = 0 then invalid_arg ("Stat." ^ name ^ ": empty input");
+  if q < 0. || q > 1. then invalid_arg ("Stat." ^ name ^ ": q outside [0, 1]")
+
+let quantile_sorted sorted q =
+  check_quantile "quantile_sorted" sorted q;
   if Float.is_nan sorted.(0) then Float.nan
   else
   let n = Array.length sorted in
@@ -43,6 +40,16 @@ let quantile xs q =
   else
     let frac = pos -. float_of_int lo in
     ((1. -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
+
+let quantile xs q =
+  check_quantile "quantile" xs q;
+  let sorted = Array.copy xs in
+  (* Float.compare, not polymorphic compare: the latter is not a total
+     order in the presence of NaN, so a single NaN sample silently
+     corrupts the sort.  Float.compare sorts NaN first; the NaN policy is
+     to propagate — any NaN sample makes the quantile NaN. *)
+  Array.sort Float.compare sorted;
+  quantile_sorted sorted q
 
 let median xs = quantile xs 0.5
 
@@ -57,6 +64,26 @@ let zscore_params xs =
   (mean xs, if s < epsilon_std then epsilon_std else s)
 
 let zscore ~mean ~std x = (x -. mean) /. std
+
+(* [zscore_params] of column [j], read in place: the same sums in the same
+   row order, without materializing the column. *)
+let column_zscore_params rows j =
+  let n = Array.length rows in
+  if n = 0 then (0., epsilon_std)
+  else begin
+    let sum = ref 0. in
+    for i = 0 to n - 1 do
+      sum := !sum +. rows.(i).(j)
+    done;
+    let m = !sum /. float_of_int n in
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      let d = rows.(i).(j) -. m in
+      acc := !acc +. (d *. d)
+    done;
+    let s = sqrt (!acc /. float_of_int n) in
+    (m, if s < epsilon_std then epsilon_std else s)
+  end
 
 let min_max_norm ~lo ~hi x =
   if hi -. lo < epsilon_std then 0.5 else (x -. lo) /. (hi -. lo)

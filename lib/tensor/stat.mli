@@ -25,9 +25,19 @@ val quantile : float array -> float -> float
     (and the same holds for {!median} and {!mad}, which derive from it).
     @raise Invalid_argument on empty input or [q] outside [\[0, 1\]]. *)
 
+val quantile_sorted : float array -> float -> float
+(** {!quantile} of an array already sorted with [Float.compare], without
+    copying or sorting it — bitwise equal to [quantile] of any permutation
+    that sorts to it.  @raise Invalid_argument as {!quantile}. *)
+
 val zscore_params : float array -> float * float
 (** [(mean, std)] with [std] floored at a small epsilon so that dividing is
     always safe. *)
+
+val column_zscore_params : float array array -> int -> float * float
+(** [column_zscore_params rows j] is
+    [zscore_params (Array.map (fun r -> r.(j)) rows)], bit for bit,
+    without building the column. *)
 
 val zscore : mean:float -> std:float -> float -> float
 
