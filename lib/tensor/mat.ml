@@ -119,17 +119,6 @@ let check_same name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg (Printf.sprintf "Mat.%s: shape mismatch (%dx%d vs %dx%d)" name a.rows a.cols b.rows b.cols)
 
-let elementwise name f a b =
-  check_same name a b;
-  let c = { a with data = alloc (numel a) } in
-  for i = 0 to numel a - 1 do
-    c.data.{i} <- f a.data.{i} b.data.{i}
-  done;
-  c
-
-(* [add]/[sub]/[hadamard] spell their loops out: going through
-   [elementwise] would call the operator as a closure and box every
-   element. *)
 let add a b =
   check_same "add" a b;
   let ad = a.data and bd = b.data and cd = alloc (numel a) in
@@ -156,8 +145,6 @@ let hadamard a b =
       (Bigarray.Array1.unsafe_get ad i *. Bigarray.Array1.unsafe_get bd i)
   done;
   { a with data = cd }
-
-let map2 f a b = elementwise "map2" f a b
 
 let scale s m =
   let c = { m with data = alloc (numel m) } in

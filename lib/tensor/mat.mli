@@ -65,9 +65,6 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val hadamard : t -> t -> t
 
-val map2 : (float -> float -> float) -> t -> t -> t
-(** Elementwise combination of two same-shape matrices. *)
-
 val add_into : dst:t -> t -> unit
 (** [add_into ~dst src] accumulates [src] into [dst] elementwise. *)
 
