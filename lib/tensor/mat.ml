@@ -38,7 +38,7 @@ let set m i j x = m.data.{(i * m.cols) + j} <- x
 (* Hot loops stay inside this module.  The dev build compiles with
    [-opaque], so nothing is inlined across modules: each [get]/[set] made
    from another module is a real call that boxes its float (~2 minor
-   words), and so does every element a [map]/[init] closure returns.  The
+   words), and so does every element an [init] closure returns.  The
    whole-matrix kernels below read and write [data] directly instead. *)
 
 let to_array m =
@@ -150,13 +150,6 @@ let scale s m =
   let c = { m with data = alloc (numel m) } in
   for i = 0 to numel m - 1 do
     c.data.{i} <- s *. m.data.{i}
-  done;
-  c
-
-let map f m =
-  let c = { m with data = alloc (numel m) } in
-  for i = 0 to numel m - 1 do
-    c.data.{i} <- f m.data.{i}
   done;
   c
 

@@ -124,7 +124,6 @@ val mat_vec : t -> Vec.t -> Vec.t
 val vec_mat : Vec.t -> t -> Vec.t
 (** [vec_mat x a = xᵀ · a]. *)
 
-val map : (float -> float) -> t -> t
 val trace : t -> float
 val frobenius : t -> float
 
