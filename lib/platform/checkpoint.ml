@@ -144,9 +144,13 @@ let entry_line (e : History.entry) =
       config_field e.History.config;
       (match e.History.objectives with Some v -> vec_field v | None -> "-") ]
 
-let body_string t =
-  let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+(* The body is header, entry lines, suffix.  Header and suffix hold the
+   state a save rewrites wholesale (clock, RNG, cache, quarantine,
+   Pareto archive, in-flight tasks); the entry lines only ever grow, which
+   is what {!Writer} exploits. *)
+let header_string t =
+  let buf = Buffer.create 1024 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') buf fmt in
   line "wayfinder-checkpoint %d" version;
   line "seed %d" t.seed;
   line "rng %Lx" t.rng_state;
@@ -170,7 +174,11 @@ let body_string t =
     t.cache;
   List.iter (fun (key, n) -> line "strike %s %d" (encode_string key) n) t.strikes;
   List.iter (fun key -> line "quarantined %s" (encode_string key)) t.quarantined;
-  List.iter (fun e -> line "entry %s" (entry_line e)) t.entries;
+  Buffer.contents buf
+
+let suffix_string t =
+  let buf = Buffer.create 256 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') buf fmt in
   List.iter (fun (i, v) -> line "pareto %d %s" i (vec_field v)) t.pareto;
   (match t.trace_cursor with
   | Some c -> line "trace_cursor %d" c
@@ -184,23 +192,100 @@ let body_string t =
   line "end";
   Buffer.contents buf
 
-(* The sealed envelope: the format-4 body followed by a CRC-32 trailer
-   line over the body bytes.  The trailer is mandatory on read, so a
-   truncation that happens to cut exactly after the "end" marker is
-   still detected. *)
-let to_string t =
-  let body = body_string t in
-  body ^ Printf.sprintf "crc %s\n" (Crc32.to_hex (Crc32.digest body))
+type checkpoint = t
+
+module Writer = struct
+  (* [formatted.(i)] is the entry whose line is [lines.(i)]; the first
+     [count] slots are live.  Both arrays double when full. *)
+  type t = {
+    mutable formatted : History.entry array;
+    mutable lines : string array;
+    mutable count : int;
+  }
+
+  type stats = { bytes : int; appended : int }
+
+  let create () = { formatted = [||]; lines = [||]; count = 0 }
+
+  let reset w =
+    w.formatted <- [||];
+    w.lines <- [||];
+    w.count <- 0
+
+  let push w e =
+    let line = String.concat "" [ "entry "; entry_line e; "\n" ] in
+    if w.count = Array.length w.lines then begin
+      let grow a fill =
+        let b = Array.make (max 64 (2 * w.count)) fill in
+        Array.blit a 0 b 0 w.count;
+        b
+      in
+      w.formatted <- grow w.formatted e;
+      w.lines <- grow w.lines line
+    end;
+    w.formatted.(w.count) <- e;
+    w.lines.(w.count) <- line;
+    w.count <- w.count + 1
+
+  (* Format the entries past the memoized prefix.  The prefix is trusted
+     only if every entry in it is physically the one already formatted;
+     anything else (a shorter, reordered or unrelated history) starts
+     over, so a wrong caller costs time, never bytes. *)
+  let sync w entries =
+    let rec past_prefix i = function
+      | rest when i = w.count -> Some rest
+      | e :: rest when e == w.formatted.(i) -> past_prefix (i + 1) rest
+      | _ -> None
+    in
+    let fresh =
+      match past_prefix 0 entries with
+      | Some rest -> rest
+      | None ->
+        reset w;
+        entries
+    in
+    let before = w.count in
+    List.iter (push w) fresh;
+    w.count - before
+
+  (* The file is header, kept lines, suffix and trailer, in that order;
+     the pieces are handed over as they are, never concatenated. *)
+  let render w (ck : checkpoint) =
+    let appended = sync w ck.entries in
+    let header = header_string ck and suffix = suffix_string ck in
+    let crc = ref (Crc32.update Crc32.init header) in
+    for i = 0 to w.count - 1 do
+      crc := Crc32.update !crc w.lines.(i)
+    done;
+    let trailer = "crc " ^ Crc32.to_hex (Crc32.finish (Crc32.update !crc suffix)) ^ "\n" in
+    let rec with_lines i acc = if i < 0 then acc else with_lines (i - 1) (w.lines.(i) :: acc) in
+    let pieces = header :: with_lines (w.count - 1) [ suffix; trailer ] in
+    let bytes = List.fold_left (fun n s -> n + String.length s) 0 pieces in
+    (pieces, { bytes; appended })
+
+  let to_string w ck = String.concat "" (fst (render w ck))
+
+  let save w ?backend ?keep ~path ck =
+    let pieces, stats = render w ck in
+    (* The staged-write + rotation protocol lives in Durable and is
+       shared with registry entries; the crash matrix in test_durable
+       exercises it through this entry point. *)
+    (try Durable.atomic_publish ?backend ?keep ~path pieces
+     with Invalid_argument _ -> invalid_arg "Checkpoint.save: keep must be >= 1");
+    stats
+end
+
+(* The sealed envelope: the body followed by a CRC-32 trailer line over
+   the body bytes.  The trailer is mandatory on read, so a truncation that
+   happens to cut exactly after the "end" marker is still detected.  A
+   one-shot render is the fresh-writer case, so there is one
+   serializer. *)
+let to_string t = Writer.to_string (Writer.create ()) t
 
 let generation_path = Durable.generation_path
 let max_generations = 64
 
-let save ?backend ?keep ~path t =
-  (* The staged-write + rotation protocol lives in Durable and is shared
-     with registry entries; the crash matrix in test_durable exercises it
-     through this entry point. *)
-  try Durable.atomic_publish ?backend ?keep ~path (to_string t)
-  with Invalid_argument _ -> invalid_arg "Checkpoint.save: keep must be >= 1"
+let save ?backend ?keep ~path t = ignore (Writer.save (Writer.create ()) ?backend ?keep ~path t)
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)

@@ -95,7 +95,7 @@ val version : int
 
 val to_string : t -> string
 (** The sealed envelope: the versioned body plus the CRC-32 trailer
-    line. *)
+    line.  The one-shot case of {!Writer}: a fresh writer's output. *)
 
 val of_string : string -> (t, error) result
 (** Verifies the CRC trailer before parsing; a file without one (torn
@@ -116,7 +116,50 @@ val save : ?backend:Durable.backend -> ?keep:int -> path:string -> t -> unit
     generation loadable by {!load_latest}; a failed write removes the
     staging file and leaves every existing generation untouched.
     @raise Durable.Io_error on I/O failure (after cleanup).
-    @raise Invalid_argument if [keep < 1]. *)
+    @raise Invalid_argument if [keep < 1].  A run that saves repeatedly
+    holds a {!Writer} instead. *)
+
+(** Incremental serialization for a run that saves repeatedly.
+
+    A run's checkpoints differ from one save to the next mostly by the
+    entry lines appended since the previous one; everything else (clock,
+    RNG, cache, quarantine, Pareto archive, in-flight tasks) is a small
+    header and suffix.  A writer formats each [entry] line {e once} and
+    keeps it as an immutable string, so a save formats only the new
+    entries, then streams the CRC over header, kept lines and suffix and
+    hands those pieces to {!Durable.atomic_publish}, which writes them
+    in order without ever concatenating them.  Formatting cost per save
+    is O(entries added since the last save); the CRC and the write are
+    still O(file size), at memory and disk speed.
+
+    {b Contract.}  The bytes a writer produces are always exactly
+    {!to_string} of the record it is given.  The writer memoizes the
+    entries it has formatted and reuses their lines only while the
+    record's [entries] begin with those same entries, compared by
+    physical equality ([==]).  Any other record (a shorter history, a
+    different run, rebuilt entry values) makes it re-format everything,
+    which costs time, never correctness.  Entries must not be mutated
+    in place after they have been saved (their [config] and
+    [objectives] arrays included); nothing in the platform does. *)
+module Writer : sig
+  type checkpoint := t
+  type t
+
+  type stats = {
+    bytes : int;  (** Size of the published file. *)
+    appended : int;  (** Entry lines formatted by this save. *)
+  }
+
+  val create : unit -> t
+  (** A writer with nothing memoized: its first save formats every entry. *)
+
+  val to_string : t -> checkpoint -> string
+  (** The sealed envelope of the record, byte-identical to {!to_string}. *)
+
+  val save :
+    t -> ?backend:Durable.backend -> ?keep:int -> path:string -> checkpoint -> stats
+  (** {!save} through the writer's memo. *)
+end
 
 val load : path:string -> (t, error) result
 (** {!load_from} on the real filesystem. *)

@@ -50,6 +50,24 @@ let diverged_msg index =
      than the checkpointed run?)"
     index
 
+(* Both engines publish through one writer per run, so a save formats
+   only the entries completed since the previous one.  The span gives
+   the save's wall time (render, write, fsync, rotation) a name in the
+   profile. *)
+let checkpoint_saver obs ~keep =
+  let writer = Checkpoint.Writer.create () in
+  fun ~path ck ->
+    let span = Obs.Recorder.span_begin obs "driver.checkpoint" in
+    match Checkpoint.Writer.save writer ~keep ~path ck with
+    | { Checkpoint.Writer.bytes; appended } ->
+      Obs.Recorder.span_end obs
+        ~attrs:[ Obs.Attr.int "bytes" bytes; Obs.Attr.int "appended" appended ]
+        span;
+      Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+    | exception e ->
+      Obs.Recorder.span_end obs ~attrs:[ Obs.Attr.bool "error" true ] span;
+      raise e
+
 (* A resume replays every launch the checkpoint recorded, completed or in
    flight.  An iteration budget below that count cannot be honoured: the
    replay would outrun it and leave the engine with no room to launch. *)
@@ -227,6 +245,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       invalid_arg "Driver.run: checkpoint was written with a scenario; resume with the same one");
     Obs.Recorder.incr obs ~quiet:true ~by:(float_of_int !index) "driver.replayed_iterations";
     if !consecutive_invalid >= max_consecutive_invalid then stop := Some Invalid_cap);
+  let save_checkpoint = checkpoint_saver obs ~keep:checkpoint_keep in
   let write_checkpoint () =
     match checkpoint_path with
     | None -> ()
@@ -241,7 +260,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       let sorted_quarantined =
         List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) quarantine [])
       in
-      Checkpoint.save ~keep:checkpoint_keep ~path
+      save_checkpoint ~path
         { Checkpoint.seed;
           rng_state = Rng.state rng;
           clock_seconds = Vclock.now clock;
@@ -256,8 +275,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
           entries = Array.to_list (History.entries history);
           inflight = [];
           pareto = Pareto.to_list !archive;
-          trace_cursor = Option.map Scenario.cursor scenario };
-      Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+          trace_cursor = Option.map Scenario.cursor scenario }
   in
   let within_budget () =
     match budget with
@@ -738,6 +756,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       | Some _ | None -> ()
     end
   in
+  let save_checkpoint = checkpoint_saver obs ~keep:checkpoint_keep in
   let write_checkpoint () =
     match checkpoint_path with
     | None -> ()
@@ -757,7 +776,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
           (fun (a : Checkpoint.inflight) b -> compare a.Checkpoint.index b.Checkpoint.index)
           (Hashtbl.fold (fun _ r acc -> r :: acc) inflight_tbl [])
       in
-      Checkpoint.save ~keep:checkpoint_keep ~path
+      save_checkpoint ~path
         { Checkpoint.seed;
           rng_state = Rng.state rng;
           clock_seconds = Vclock.now clock;
@@ -772,8 +791,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
           entries = Array.to_list (History.entries history);
           inflight;
           pareto = Pareto.to_list !archive;
-          trace_cursor = Option.map Scenario.cursor scenario };
-      Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+          trace_cursor = Option.map Scenario.cursor scenario }
   in
   let within_budget () =
     match budget with

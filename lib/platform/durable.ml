@@ -10,7 +10,7 @@ let io_error_to_string e = Printf.sprintf "%s: %s: %s" e.op e.path e.reason
 type backend = {
   name : string;
   read : string -> string;
-  write : string -> string -> unit;
+  write : string -> string list -> unit;
   append : string -> string -> unit;
   fsync : string -> unit;
   rename : src:string -> dst:string -> unit;
@@ -49,11 +49,17 @@ let fs =
         wrap "read" path (fun () ->
             In_channel.with_open_bin path In_channel.input_all));
     write =
-      (fun path data ->
+      (fun path pieces ->
+        (* Many small pieces go out through one channel buffer, not one
+           syscall each; closing the channel closes the descriptor. *)
         let fd = fs_open_write path Unix.[ O_WRONLY; O_CREAT; O_TRUNC ] in
+        let oc = Unix.out_channel_of_descr fd in
         Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () -> wrap "write" path (fun () -> write_all fd path data)));
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            wrap "write" path (fun () ->
+                List.iter (output_string oc) pieces;
+                flush oc)));
     append =
       (fun path data ->
         let fd = fs_open_write path Unix.[ O_WRONLY; O_CREAT; O_APPEND ] in
@@ -94,7 +100,7 @@ let fs =
 let atomic_write ?(backend = fs) ~path data =
   let tmp = path ^ ".tmp" in
   match
-    backend.write tmp data;
+    backend.write tmp [ data ];
     backend.fsync tmp;
     backend.rename ~src:tmp ~dst:path;
     backend.fsync_dir path
@@ -110,14 +116,14 @@ let atomic_write_exn ?backend ~path data =
 
 let generation_path path i = if i = 0 then path else Printf.sprintf "%s.%d" path i
 
-let atomic_publish ?(backend = fs) ?(keep = 1) ~path data =
+let atomic_publish ?(backend = fs) ?(keep = 1) ~path pieces =
   if keep < 1 then invalid_arg "Durable.atomic_publish: keep must be >= 1";
   let tmp = path ^ ".tmp" in
   try
     (* Stage durably first: once the tmp bytes are fsynced, every later
        step is a rename, and a crash between any two of them leaves a
        complete generation under some name. *)
-    backend.write tmp data;
+    backend.write tmp pieces;
     backend.fsync tmp;
     if keep > 1 && backend.exists path then begin
       (* Rotate: path.(keep-2) -> path.(keep-1), ..., path -> path.1;
@@ -205,7 +211,8 @@ module Mem = struct
       let content = f.content and synced = f.synced in
       fun () -> Hashtbl.replace t.files path { content; synced }
 
-  let mem_write t path data =
+  let mem_write t path pieces =
+    let data = String.concat "" pieces in
     let apply keep =
       let kept = if keep = String.length data then data else String.sub data 0 keep in
       (* Truncate-and-rewrite destroys the old bytes immediately: the

@@ -48,9 +48,11 @@ val io_error_to_string : io_error -> string
 type backend = {
   name : string;
   read : string -> string;  (** Whole-file read.  @raise Io_error *)
-  write : string -> string -> unit;
-      (** Create-or-truncate and write, {e buffered}: not durable until
-          [fsync].  @raise Io_error *)
+  write : string -> string list -> unit;
+      (** Create-or-truncate and write the pieces in order, {e
+          buffered}: not durable until [fsync].  The file's content is
+          their concatenation, which the caller never has to build.
+          @raise Io_error *)
   append : string -> string -> unit;
       (** Append, buffered (creates the file if absent).  @raise Io_error *)
   fsync : string -> unit;  (** Make the file's bytes durable.  @raise Io_error *)
@@ -83,8 +85,9 @@ val generation_path : string -> int -> string
 (** [generation_path path 0 = path]; [generation_path path i] is
     ["path.i"] for [i >= 1] — the naming scheme of rotated generations. *)
 
-val atomic_publish : ?backend:backend -> ?keep:int -> path:string -> string -> unit
-(** {!atomic_write} plus {e generation rotation}: stage to
+val atomic_publish : ?backend:backend -> ?keep:int -> path:string -> string list -> unit
+(** {!atomic_write} of the concatenated pieces plus {e generation
+    rotation}: stage to
     [path ^ ".tmp"], fsync, then (when [keep > 1] and [path] exists)
     shift [path] → [path.1] → … → [path.(keep-1)] before renaming the
     staging file into place and fsyncing the directory.  A crash at any

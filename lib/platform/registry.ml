@@ -370,7 +370,7 @@ let of_string s =
 
 let save ?backend ?keep ~dir t =
   let path = entry_path ~dir t.fp in
-  match Durable.atomic_publish ?backend ?keep ~path (to_string t) with
+  match Durable.atomic_publish ?backend ?keep ~path [ to_string t ] with
   | () -> Ok path
   | exception Durable.Io_error e -> Error (Io e)
 

@@ -32,7 +32,45 @@ let test_crc_known_answers () =
   Alcotest.(check bool) "of_hex inverts to_hex" true
     (Crc32.of_hex "cbf43926" = Some (Crc32.digest "123456789"));
   Alcotest.(check bool) "of_hex rejects non-hex" true (Crc32.of_hex "not-hex!" = None);
-  Alcotest.(check bool) "of_hex rejects short input" true (Crc32.of_hex "abc" = None)
+  Alcotest.(check bool) "of_hex rejects short input" true (Crc32.of_hex "abc" = None);
+  Alcotest.(check bool) "of_hex accepts upper case" true
+    (Crc32.of_hex "CBF43926" = Some (Crc32.digest "123456789"));
+  (* Int32.of_string alone would read "1234_567" as 0x01234567 and take
+     a sign; none of these is eight hex digits. *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "of_hex rejects %S" s) true (Crc32.of_hex s = None))
+    [ "1234_567"; "_1234567"; "1234567_"; "+1234567"; "-1234567"; "+0000000"; "-0000000";
+      "0x123456"; "1234567 "; "cbf4392g" ]
+
+(* CRC-32 by its definition, one bit at a time and without the table:
+   the oracle for the table-driven loop. *)
+let crc_reference s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 1 to 8 do
+        crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+      done)
+    s;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let test_crc_reference_check_value () =
+  Alcotest.(check string) "reference check value" "cbf43926"
+    (Crc32.to_hex (crc_reference "123456789"))
+
+let prop_crc_matches_reference =
+  QCheck2.Test.make ~name:"table crc equals the bitwise reference under any chunking" ~count:300
+    QCheck2.Gen.(pair (string_size (int_range 0 300)) (list_size (int_range 0 6) nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let rec chunks pos = function
+        | [] -> [ String.sub s pos (n - pos) ]
+        | c :: rest -> String.sub s pos (c - pos) :: chunks c rest
+      in
+      Crc32.finish (List.fold_left Crc32.update Crc32.init (chunks 0 cuts)) = crc_reference s)
 
 let prop_crc_streaming =
   QCheck2.Test.make ~name:"streaming crc equals one-shot digest" ~count:200
@@ -124,24 +162,41 @@ let sample_ck n =
     pareto = [];
     trace_cursor = None }
 
-let checkpoint_crash_step ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel =
+(* [publisher ()] makes the saver of one simulated process: the plain
+   one-shot [Checkpoint.save], or a [Checkpoint.Writer] that saw the old
+   state before the new one. *)
+let plain_publisher () ~backend ck = Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" ck
+
+let writer_publisher () =
+  let w = Checkpoint.Writer.create () in
+  fun ~backend ck -> ignore (Checkpoint.Writer.save w ~backend ~keep:2 ~path:"s.ckpt" ck)
+
+let checkpoint_crash_step ?(publisher = plain_publisher) ~keep_unsynced ~keep_renames ~old_ck
+    ~new_ck fuel =
   let fs = Mem.create ~keep_unsynced ~keep_renames () in
   let backend = Mem.backend fs in
-  Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" old_ck;
+  let publish = publisher () in
+  publish ~backend old_ck;
   Mem.set_fuel fs fuel;
-  (match Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" new_ck with
+  (match publish ~backend new_ck with
   | () -> ()
   | exception Mem.Crashed -> ()
   | exception Durable.Io_error _ -> ());
   Mem.crash fs;
-  match Checkpoint.load_latest ~backend "s.ckpt" with
+  (match Checkpoint.load_latest ~backend "s.ckpt" with
   | Error e ->
     Alcotest.failf "fuel %d (unsynced=%b renames=%b): no generation loads: %s" fuel
       keep_unsynced keep_renames (Checkpoint.error_to_string e)
   | Ok (ck, _) ->
     if not (ck = old_ck || ck = new_ck) then
       Alcotest.failf "fuel %d (unsynced=%b renames=%b): loaded neither old nor new state" fuel
-        keep_unsynced keep_renames
+        keep_unsynced keep_renames);
+  (* The same saver, retried after the kill, publishes the new state
+     exactly: a publish that died does not poison its memo. *)
+  publish ~backend new_ck;
+  if Mem.get_file fs "s.ckpt" <> Some (Checkpoint.to_string new_ck) then
+    Alcotest.failf "fuel %d (unsynced=%b renames=%b): retried save published other bytes" fuel
+      keep_unsynced keep_renames
 
 let checkpoint_save_cost ~old_ck ~new_ck =
   let probe = Mem.create () in
@@ -151,27 +206,39 @@ let checkpoint_save_cost ~old_ck ~new_ck =
   Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" new_ck;
   Mem.cost probe - before
 
+(* The next state of a run: one more entry, the old ones shared
+   physically, as the driver hands them to its writer. *)
+let extend (ck : Checkpoint.t) =
+  let n = ck.Checkpoint.iterations in
+  { (sample_ck (n + 1)) with Checkpoint.entries = ck.Checkpoint.entries @ [ mk_entry n ] }
+
 let test_checkpoint_save_crash_matrix () =
   (* Small checkpoints keep the exhaustive per-byte sweep fast. *)
-  let old_ck = sample_ck 2 and new_ck = sample_ck 3 in
+  let old_ck = sample_ck 2 in
+  let new_ck = extend old_ck in
   let total = checkpoint_save_cost ~old_ck ~new_ck in
   List.iter
-    (fun (keep_unsynced, keep_renames) ->
-      for fuel = 0 to total do
-        checkpoint_crash_step ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel
-      done)
-    fault_plans
+    (fun publisher ->
+      List.iter
+        (fun (keep_unsynced, keep_renames) ->
+          for fuel = 0 to total do
+            checkpoint_crash_step ~publisher ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel
+          done)
+        fault_plans)
+    [ plain_publisher; writer_publisher ]
 
 let prop_checkpoint_crash_matrix =
   (* The qcheck face of the same property, on a larger checkpoint:
-     random kill points and loss plans, recovery always yields old or
-     new. *)
-  let old_ck = sample_ck 12 and new_ck = sample_ck 13 in
+     random kill points, loss plans and savers, recovery always yields
+     old or new. *)
+  let old_ck = sample_ck 12 in
+  let new_ck = extend old_ck in
   let total = checkpoint_save_cost ~old_ck ~new_ck in
   QCheck2.Test.make ~name:"checkpoint save killed anywhere recovers old or new" ~count:150
-    QCheck2.Gen.(triple (int_range 0 total) bool bool)
-    (fun (fuel, keep_unsynced, keep_renames) ->
-      checkpoint_crash_step ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel;
+    QCheck2.Gen.(quad (int_range 0 total) bool bool bool)
+    (fun (fuel, keep_unsynced, keep_renames, through_writer) ->
+      let publisher = if through_writer then writer_publisher else plain_publisher in
+      checkpoint_crash_step ~publisher ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel;
       true)
 
 let test_checkpoint_generation_rotation () =
@@ -198,6 +265,241 @@ let test_checkpoint_generation_rotation () =
     | Some (Checkpoint.Recovered_from_generation { generation = 1; dropped = [ _ ]; _ }) -> ()
     | Some n -> Alcotest.failf "unexpected notice: %s" (Checkpoint.notice_to_string n)
     | None -> Alcotest.fail "expected a recovery notice")
+
+(* ------------------------------------------------------------------ *)
+(* Checkpoint writer: incremental saves, one-shot bytes                 *)
+(* ------------------------------------------------------------------ *)
+
+module Writer = Checkpoint.Writer
+
+(* Strings over the characters the line format reserves. *)
+let gen_reserved =
+  QCheck2.Gen.(string_size ~gen:(oneofl [ '%'; ' '; '\t'; '\n'; '\r'; 'a'; '0' ]) (int_range 0 6))
+
+let gen_float =
+  QCheck2.Gen.(
+    oneof
+      [ float_range (-1e6) 1e6;
+        oneofl [ 0.; -0.; 0.1; 1e-300; 5e-324; 1.7976931348623157e308; -2.5e17 ] ])
+
+let gen_entry =
+  let open QCheck2.Gen in
+  let gen_value =
+    oneof
+      [ map (fun i -> Param.Vint i) int;
+        map (fun b -> Param.Vbool b) bool;
+        map (fun i -> Param.Vtristate i) (int_range 0 2);
+        map (fun i -> Param.Vcat i) (int_range 0 9) ]
+  in
+  let gen_failure =
+    oneof [ oneofl Failure.all_named; map (fun s -> Failure.Other ("oops" ^ s)) gen_reserved ]
+  in
+  let* config = array_size (int_range 0 4) gen_value
+  and* value = opt gen_float
+  and* failure = opt gen_failure
+  and* at_seconds = gen_float
+  and* eval_seconds = gen_float
+  and* decide_seconds = gen_float
+  and* built = bool in
+  let+ objectives = opt (array_size (int_range 0 3) gen_float) in
+  { History.index = 0; config; value; failure; at_seconds; eval_seconds; built; decide_seconds;
+    objectives }
+
+(* Everything a save rewrites besides the entry lines, at the sizes a
+   four-worker run produces. *)
+let gen_state =
+  let open QCheck2.Gen in
+  let* rng = int64
+  and* clock = gen_float
+  and* cache =
+    list_size (int_range 0 4)
+      (pair gen_reserved
+         (oneof
+            [ return Image_cache.Built;
+              map (fun f -> Image_cache.Build_failed f) (oneofl Failure.all_named) ]))
+  and* strikes = list_size (int_range 0 3) (pair gen_reserved small_nat)
+  and* quarantined = list_size (int_range 0 3) gen_reserved
+  and* inflight = list_size (int_range 0 3) (triple (int_range 0 3) gen_float gen_entry)
+  and* pareto = list_size (int_range 0 3) (pair small_nat (array_size (int_range 0 3) gen_float)) in
+  let+ trace_cursor = opt small_nat in
+  fun entries ->
+    let cache =
+      List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) cache
+      |> List.map (fun (k, status) -> (k, { Image_cache.status; origin = 0 }))
+    in
+    { Checkpoint.seed = 7;
+      rng_state = rng;
+      clock_seconds = clock;
+      budget_start_seconds = 0.;
+      iterations = List.length entries;
+      workers = 4;
+      consecutive_invalid = 0;
+      cache_capacity = 4;
+      cache;
+      strikes;
+      quarantined;
+      entries;
+      inflight =
+        List.mapi
+          (fun i (slot, start_seconds, e) ->
+            let entry = { e with History.index = 100_000 + i } in
+            { Checkpoint.index = entry.History.index; slot; start_seconds; entry })
+          inflight;
+      pareto;
+      trace_cursor }
+
+type step = {
+  added : History.entry list;
+  save : bool;
+  unrelated : bool;
+      (** Replace the history by copies of a prefix of it: equal values,
+          none physically shared, so the writer must re-format. *)
+  keep_prefix : int;
+  state : History.entry list -> Checkpoint.t;
+}
+
+let gen_step =
+  let open QCheck2.Gen in
+  let* added = list_size (int_range 0 5) gen_entry
+  and* save = map (fun k -> k > 0) (int_range 0 3)
+  and* unrelated = map (fun k -> k = 0) (int_range 0 5)
+  and* keep_prefix = small_nat in
+  let+ state = gen_state in
+  { added; save; unrelated; keep_prefix; state }
+
+let prop_writer_equals_one_shot =
+  QCheck2.Test.make ~name:"writer saves equal the one-shot serializer" ~count:200
+    QCheck2.Gen.(list_size (int_range 1 15) gen_step)
+    (fun steps ->
+      let fs = Mem.create () in
+      let backend = Mem.backend fs in
+      let w = Writer.create () in
+      let entries = ref [] and unsaved = ref 0 and reformat = ref false in
+      List.for_all
+        (fun step ->
+          if step.unrelated then begin
+            let n = List.length !entries in
+            let keep = if n = 0 then 0 else step.keep_prefix mod (n + 1) in
+            let copy (e : History.entry) = { e with History.index = e.History.index } in
+            entries := List.filteri (fun i _ -> i < keep) (List.map copy !entries);
+            reformat := true
+          end;
+          let base = List.length !entries in
+          entries :=
+            !entries @ List.mapi (fun i e -> { e with History.index = base + i }) step.added;
+          unsaved := !unsaved + List.length step.added;
+          (not step.save)
+          ||
+          let ck = step.state !entries in
+          let stats = Writer.save w ~backend ~keep:2 ~path:"w.ckpt" ck in
+          let expected = Checkpoint.to_string ck in
+          let appended = if !reformat then List.length !entries else !unsaved in
+          unsaved := 0;
+          reformat := false;
+          Mem.get_file fs "w.ckpt" = Some expected
+          && stats.Writer.bytes = String.length expected
+          && stats.Writer.appended = appended
+          && Checkpoint.of_string expected = Ok ck)
+        steps)
+
+let test_writer_reformats_foreign_history () =
+  let fs = Mem.create () in
+  let backend = Mem.backend fs in
+  let w = Writer.create () in
+  let save ck =
+    let stats = Writer.save w ~backend ~path:"w.ckpt" ck in
+    Alcotest.(check bool) "bytes equal the one-shot serializer" true
+      (Mem.get_file fs "w.ckpt" = Some (Checkpoint.to_string ck));
+    stats.Writer.appended
+  in
+  let a = sample_ck 5 in
+  Alcotest.(check int) "first save formats everything" 5 (save a);
+  Alcotest.(check int) "a repeated save formats nothing" 0 (save a);
+  let b = extend a in
+  Alcotest.(check int) "an extension formats only the new entry" 1 (save b);
+  (* Same length, the same physical last entry, one earlier entry
+     replaced: the memo does not trust the last entry alone. *)
+  let tampered =
+    { b with
+      Checkpoint.entries =
+        List.mapi
+          (fun i (e : History.entry) ->
+            if i = 2 then { e with History.built = not e.History.built } else e)
+          b.Checkpoint.entries }
+  in
+  Alcotest.(check int) "a rewritten prefix re-formats" 6 (save tampered);
+  Alcotest.(check int) "a shorter, unrelated history re-formats" 2 (save (sample_ck 2));
+  Alcotest.(check int) "an empty history" 0 (save (sample_ck 0))
+
+(* A fixed checkpoint with every line kind, reserved characters in every
+   percent-encoded field, and the digest and size the one-shot
+   serializer gave it before the writer existed: the incremental writer
+   changed no byte of the format. *)
+let rich_ck () =
+  let entry i =
+    { (mk_entry i) with
+      History.config =
+        (if i = 1 then [||]
+         else [| Param.Vint (-i); Param.Vbool true; Param.Vtristate 1; Param.Vcat 3 |]);
+      failure =
+        (if i = 2 then Some (Failure.Other "50% of\ta \r\nrun") else (mk_entry i).History.failure);
+      objectives =
+        (if i = 3 then Some [| 1.5; -0.25; 1e300 |] else if i = 4 then Some [||] else None) }
+  in
+  { Checkpoint.seed = 3;
+    rng_state = -1234567890123L;
+    clock_seconds = 4096.125;
+    budget_start_seconds = 12.5;
+    iterations = 6;
+    workers = 4;
+    consecutive_invalid = 2;
+    cache_capacity = 3;
+    cache =
+      [ ("i1 b0 % key", { Image_cache.status = Image_cache.Built; origin = 2 });
+        ( "i2\tb1",
+          { Image_cache.status = Image_cache.Build_failed Failure.Build_failure; origin = 0 } ) ];
+    strikes = [ ("a key", 1); ("b%25", 3) ];
+    quarantined = [ "b%25" ];
+    entries = List.init 6 entry;
+    inflight =
+      [ { Checkpoint.index = 6; slot = 1; start_seconds = 4000.; entry = entry 6 };
+        { Checkpoint.index = 7; slot = 3; start_seconds = 4001.5; entry = entry 7 } ];
+    pareto = [ (0, [| 1.; 2. |]); (3, [| 1.5; -0.25; 1e300 |]) ];
+    trace_cursor = Some 17 }
+
+let test_writer_format_known_answer () =
+  let s = Checkpoint.to_string (rich_ck ()) in
+  Alcotest.(check (pair int string)) "size and digest of the v5 bytes" (1096, "698a646f")
+    (String.length s, Crc32.to_hex (Crc32.digest s));
+  Alcotest.(check bool) "roundtrip" true (Checkpoint.of_string s = Ok (rich_ck ()))
+
+(* Allocation ratchet, measured with [Gc.minor_words] ([Gc.quick_stat]
+   reports no minor words on OCaml 5).  On this input the serializer
+   that re-formatted everything spent 17.1 M minor words, 11.5 M of them
+   boxing an int32 per byte in the CRC loop; a writer save with nothing
+   new spends ~9 words per kept line (the int32 state boxed in and out
+   of each CRC call, and the line's cell in the list of pieces), 18.6 k
+   in all.  The bound keeps the re-formatting path from coming back. *)
+let test_writer_allocation_ratchet () =
+  let n = 2000 in
+  let entries =
+    List.init n (fun i ->
+        { (mk_entry i) with
+          History.config = Array.init 198 (fun j -> Param.Vint ((i * 7919) + j)) })
+  in
+  let ck = { (sample_ck 0) with Checkpoint.iterations = n; entries } in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    let r = Sys.opaque_identity (f ()) in
+    (r, Gc.minor_words () -. before)
+  in
+  let w = Writer.create () in
+  let first, one_shot = minor_words (fun () -> Writer.to_string w ck) in
+  let again, warm = minor_words (fun () -> Writer.to_string w ck) in
+  Printf.printf "%d entries, %d bytes: first save %.0f minor words, warm save %.0f\n" n
+    (String.length first) one_shot warm;
+  Alcotest.(check bool) "warm save equals the first" true (String.equal first again);
+  if warm >= 50_000. then Alcotest.failf "warm save allocated %.0f minor words (bound 50000)" warm
 
 (* ------------------------------------------------------------------ *)
 (* Ledger: torn tails, salvage, typed errors                           *)
@@ -523,7 +825,10 @@ let () =
   Alcotest.run "durable"
     [ ( "crc32",
         [ Alcotest.test_case "known answers" `Quick test_crc_known_answers;
-          QCheck_alcotest.to_alcotest prop_crc_streaming ] );
+          QCheck_alcotest.to_alcotest prop_crc_streaming;
+          Alcotest.test_case "bitwise reference check value" `Quick
+            test_crc_reference_check_value;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference ] );
       ( "atomic-write",
         [ Alcotest.test_case "publishes durably" `Quick test_atomic_write_publishes;
           Alcotest.test_case "crash matrix: old or new, never torn" `Quick
@@ -534,6 +839,12 @@ let () =
           Alcotest.test_case "generation rotation and fallback" `Quick
             test_checkpoint_generation_rotation;
           QCheck_alcotest.to_alcotest prop_checkpoint_crash_matrix ] );
+      ( "checkpoint-writer",
+        [ QCheck_alcotest.to_alcotest prop_writer_equals_one_shot;
+          Alcotest.test_case "foreign history re-formats" `Quick
+            test_writer_reformats_foreign_history;
+          Alcotest.test_case "format known answer" `Quick test_writer_format_known_answer;
+          Alcotest.test_case "allocation ratchet" `Quick test_writer_allocation_ratchet ] );
       ( "ledger",
         [ Alcotest.test_case "seal roundtrip" `Quick test_ledger_seal_roundtrip;
           Alcotest.test_case "torn-tail matrix: salvage at every cut" `Quick
