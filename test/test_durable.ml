@@ -839,7 +839,7 @@ let () =
           Alcotest.test_case "generation rotation and fallback" `Quick
             test_checkpoint_generation_rotation;
           QCheck_alcotest.to_alcotest prop_checkpoint_crash_matrix ] );
-      ( "checkpoint-writer",
+      ( "writer",
         [ QCheck_alcotest.to_alcotest prop_writer_equals_one_shot;
           Alcotest.test_case "foreign history re-formats" `Quick
             test_writer_reformats_foreign_history;
