@@ -13,9 +13,13 @@
    - the top-5 learned parameter impacts, printed with [%h] (exact bits);
    - an MD5 of the final model snapshot, every float printed with [%h].
 
+   A third pin drives the CLI itself: the full stderr (progress lines and
+   [ALERT] lines) of a monitored flash-crowd run and of its resumed second
+   half, compared byte for byte with [golden/progress-flash.txt].
+
    To re-record after a deliberate behaviour change:
-     dune exec test/test_golden.exe -- --print NAME > test/golden/NAME.digest
-   for each run NAME in [runs] below. *)
+     dune exec test/test_golden.exe -- --print NAME > test/golden/FILE
+   for each run NAME (and its FILE) in [runs] below. *)
 
 module P = Wayfinder_platform
 module S = Wayfinder_simos
@@ -130,26 +134,71 @@ let flash_crowd_multi () =
   in
   [ "ledger " ^ ledger; "export " ^ floats_digest model ]
 
-let runs = [ ("sim-linux-nginx-deeptune", nginx_deeptune); ("flash-crowd-multi", flash_crowd_multi) ]
+let wayfinder = Filename.concat (Filename.concat ".." "bin") "wayfinder.exe"
 
-let golden_path name = Filename.concat "golden" (name ^ ".digest")
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let read_lines path =
-  In_channel.with_open_text path In_channel.input_all
+(* [wayfinder ARGS] with stdout discarded; its stderr, or a failure on a
+   non-zero exit. *)
+let cli_stderr args =
+  let err = Filename.temp_file "wayfinder_golden" ".err" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      let cmd =
+        String.concat " " (List.map Filename.quote (wayfinder :: args))
+        ^ " > " ^ Filename.quote Filename.null ^ " 2> " ^ Filename.quote err
+      in
+      let code = Sys.command cmd in
+      if code <> 0 then failwith (Printf.sprintf "%s exited %d" cmd code);
+      read_file err)
+
+(* [run] on flash-crowd with 4 workers, faults, alert rules, [--progress
+   25] and a checkpoint: 200 iterations, then [--resume] to 400.  The
+   resumed run's progress lines count from the resume point. *)
+let progress_flash () =
+  let dir = Filename.temp_dir "wayfinder_golden" "" in
+  let checkpoint = Filename.concat dir "run.ck" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let flags =
+        [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--scenario";
+          "flash-crowd"; "--scenario-stride"; "1"; "--objectives"; "throughput,p99,memory";
+          "--workers"; "4"; "--fault-rate"; "0.1"; "--resilient"; "--alerts";
+          "crash>0.5@40,stall>30"; "--progress"; "25"; "--checkpoint"; checkpoint ]
+      in
+      let first = cli_stderr (flags @ [ "-n"; "200" ]) in
+      let second = cli_stderr (flags @ [ "--resume"; "-n"; "400" ]) in
+      String.split_on_char '\n' (first ^ second))
+
+(* (name, golden file, compute, whether blank lines are significant). *)
+let runs =
+  [ ("sim-linux-nginx-deeptune", "sim-linux-nginx-deeptune.digest", nginx_deeptune, false);
+    ("flash-crowd-multi", "flash-crowd-multi.digest", flash_crowd_multi, false);
+    ("progress-flash", "progress-flash.txt", progress_flash, true) ]
+
+let read_lines ~exact path =
+  read_file (Filename.concat "golden" path)
   |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
+  |> List.filter (fun l -> exact || l <> "")
 
-let check_run name compute () =
-  let expected = read_lines (golden_path name) in
+let check_run (name, file, compute, exact) () =
+  let expected = read_lines ~exact file in
   let actual = compute () in
   Alcotest.(check (list string)) (name ^ " digests") expected actual
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _; "--print"; name ] -> List.iter print_endline ((List.assoc name runs) ())
+  | [ _; "--print"; name ] ->
+    let _, _, compute, exact = List.find (fun (n, _, _, _) -> n = name) runs in
+    print_string (String.concat "\n" (compute ()));
+    if not exact then print_newline ()
   | _ ->
     Alcotest.run "golden"
       [ ( "golden",
           List.map
-            (fun (name, compute) -> Alcotest.test_case name `Quick (check_run name compute))
+            (fun ((name, _, _, _) as run) -> Alcotest.test_case name `Quick (check_run run))
             runs ) ]
