@@ -13,31 +13,34 @@ type snapshot = {
 
 let default_window = 25
 
-let of_series ?(window = default_window) ?metrics ?workers (s : Series.t) =
-  let cache_hit_rate =
-    match metrics with
-    | None -> None
-    | Some m ->
-      let hits = Obs.Metrics.counter m "driver.image_cache.hits" in
-      let misses = Obs.Metrics.counter m "driver.image_cache.misses" in
-      if hits +. misses <= 0. then None else Some (hits /. (hits +. misses))
-  in
+let with_metrics ?workers m snap =
+  let hits = Obs.Metrics.counter m "driver.image_cache.hits" in
+  let misses = Obs.Metrics.counter m "driver.image_cache.misses" in
   let worker_busy =
-    match (metrics, workers) with
-    | Some m, Some w when w > 1 -> (
+    match workers with
+    | Some w when w > 1 -> (
       match Obs.Metrics.histogram m "driver.worker.busy" with
       | Some h when h.Obs.Metrics.count > 0 ->
         Some (Obs.Metrics.mean h /. float_of_int w)
       | Some _ | None -> None)
-    | _ -> None
+    | Some _ | None -> None
   in
-  { iteration = Series.length s;
-    best = Option.map snd (Series.best s);
-    regret_slope = Series.regret_slope s ~window;
-    crash_rate = Series.crash_rate s;
-    cache_hit_rate;
-    worker_busy;
-    virtual_seconds = Series.last_at_seconds s }
+  { snap with
+    cache_hit_rate =
+      (if hits +. misses <= 0. then None else Some (hits /. (hits +. misses)));
+    worker_busy }
+
+let of_series ?(window = default_window) ?metrics ?workers (s : Series.t) =
+  let snap =
+    { iteration = Series.length s;
+      best = Option.map snd (Series.best s);
+      regret_slope = Series.regret_slope s ~window;
+      crash_rate = Series.crash_rate s;
+      cache_hit_rate = None;
+      worker_busy = None;
+      virtual_seconds = Series.last_at_seconds s }
+  in
+  match metrics with None -> snap | Some m -> with_metrics ?workers m snap
 
 let to_line ?(alerts = []) ~metric snap =
   let buf = Buffer.create 96 in

@@ -1,10 +1,13 @@
 (** The [--progress N] one-line live snapshot.
 
-    Built from the same {!Series} code the [analyze] subcommand uses —
-    there is deliberately no duplicated math here: the line is a
-    projection of {!Series.best}, {!Series.regret_slope},
-    {!Series.crash_rate} and two observability aggregates (image-cache
-    hit rate, mean worker busyness). *)
+    The line projects four run statistics (best value, trailing-window
+    regret slope, crash rate, virtual time) and two observability
+    aggregates (image-cache hit rate, mean worker busyness).  [run]
+    takes the statistics from its streaming
+    {!Wayfinder_monitor.Live_series} in O(1) per record; {!of_series}
+    computes them from a batch {!Series} and is the reference the live
+    path is tested against.  Both fill the two aggregates through
+    {!with_metrics}. *)
 
 module Metric = Wayfinder_platform.Metric
 module Obs = Wayfinder_obs
@@ -26,8 +29,16 @@ type snapshot = {
 val default_window : int
 (** 25 — trailing window for the slope. *)
 
+val with_metrics : ?workers:int -> Obs.Metrics.snapshot -> snapshot -> snapshot
+(** [snap] with [cache_hit_rate] and [worker_busy] derived from a
+    recorder's metrics: the driver's [driver.image_cache.hits]/[misses]
+    counters, and the mean of its [driver.worker.busy] histogram divided
+    by [workers].  The one place both rates are computed. *)
+
 val of_series :
   ?window:int -> ?metrics:Obs.Metrics.snapshot -> ?workers:int -> Series.t -> snapshot
+(** The snapshot of a batch series over [window] (default
+    {!default_window}); without [metrics], both aggregates are [None]. *)
 
 val to_line : ?alerts:string list -> metric:Metric.t -> snapshot -> string
 (** e.g. [[iter 120] best 812.300 req/s | slope +0.42/it | crash 18% |

@@ -256,12 +256,17 @@ let tail_series t ~window =
 
 let pareto t = t.front
 
-let progress t =
-  { A.Progress.iteration = t.n;
-    best = Option.map snd t.best;
-    regret_slope = regret_slope t;
-    crash_rate =
-      (if t.n = 0 then 0. else float_of_int t.crashes /. float_of_int t.n);
-    cache_hit_rate = None;
-    worker_busy = None;
-    virtual_seconds = t.last_at }
+let progress ?metrics ?workers t =
+  let snap =
+    { A.Progress.iteration = t.n;
+      best = Option.map snd t.best;
+      regret_slope = regret_slope t;
+      crash_rate =
+        (if t.n = 0 then 0. else float_of_int t.crashes /. float_of_int t.n);
+      cache_hit_rate = None;
+      worker_busy = None;
+      virtual_seconds = t.last_at }
+  in
+  match metrics with
+  | None -> snap
+  | Some m -> A.Progress.with_metrics ?workers m snap

@@ -6,6 +6,9 @@
     whole history is available in O(1) (amortised) per record: running
     best, trailing-window regret slope, total and windowed crash /
     transient rates, coverage, the Pareto front, and virtual-time totals.
+    In [wayfinder run] one live series serves the [--progress] line, the
+    [--alerts] rules and the [--metrics-out] export; [watch] builds one
+    from a tailed ledger.
 
     The contract — pinned by the conformance suite — is {e bitwise}
     equality with the batch rebuild: after [k] calls to {!observe},
@@ -91,7 +94,11 @@ val tail_series : t -> window:int -> A.Series.t
 
 val pareto : t -> Pareto.t option
 
-val progress : t -> A.Progress.snapshot
-(** The [--progress] projection ({!A.Progress.of_series} shape) computed
-    from live state; [cache_hit_rate] and [worker_busy] are [None] — a
-    ledger consumer has no metrics registry. *)
+val progress :
+  ?metrics:Wayfinder_obs.Metrics.snapshot -> ?workers:int -> t -> A.Progress.snapshot
+(** The [--progress] line's snapshot computed from live state in
+    O(window): what [run] prints every N records, and the dashboard's
+    status line.  Equal, float for float, to {!A.Progress.of_series} with
+    the same [metrics] and [workers] over the same rows.  Without
+    [metrics] (a ledger consumer has no metrics registry),
+    [cache_hit_rate] and [worker_busy] are [None]. *)

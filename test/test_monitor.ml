@@ -61,6 +61,14 @@ let conf_names, conf_stages =
   ( Array.map (fun (p : CS.Param.t) -> p.CS.Param.name) params,
     Array.map (fun (p : CS.Param.t) -> p.CS.Param.stage) params )
 
+(* The batch series over the first [k] of [rows]. *)
+let batch_prefix ~metric ~objectives rows k =
+  { A.Series.metric;
+    names = conf_names;
+    stages = conf_stages;
+    rows = Array.of_list (List.filteri (fun j _ -> j < k) rows);
+    objectives }
+
 (* Check live == batch at every prefix of [rows]. *)
 let check_prefix_parity ~metric ~objectives rows =
   let live = Ls.create ~metric ~names:conf_names ~stages:conf_stages ~objectives () in
@@ -68,14 +76,8 @@ let check_prefix_parity ~metric ~objectives rows =
     (fun i row ->
       Ls.observe live row;
       let k = i + 1 in
-      let batch =
-        { A.Series.metric;
-          names = conf_names;
-          stages = conf_stages;
-          rows = Array.of_list (List.filteri (fun j _ -> j < k) rows);
-          objectives }
-      in
-      let got = Ls.stats live and want = Ls.stats_of_series batch in
+      let got = Ls.stats live
+      and want = Ls.stats_of_series (batch_prefix ~metric ~objectives rows k) in
       if not (stats_eq got want) then
         Alcotest.failf "prefix %d diverged:\n  live  %s\n  batch %s" k (stats_pp got)
           (stats_pp want))
@@ -86,20 +88,73 @@ let collect_rows () =
   let on_record entry belief = rows := A.Ledger.row_of_entry entry belief :: !rows in
   (rows, on_record)
 
-(* The tentpole property: random seeds and fault rates, every algorithm,
-   both engine widths. *)
+(* Random seeds and fault rates, every algorithm, both engine widths. *)
+let run_gen =
+  QCheck2.Gen.(
+    tup4 (oneofl [ "random"; "grid"; "deeptune" ]) (oneofl [ 1; 4 ]) (int_range 1 1000)
+      (oneofl [ 0.; 0.3 ]))
+
+(* The rows of one conformance run, in completion order. *)
+let run_rows (name, workers, seed, fault_rate) =
+  let rows, on_record = collect_rows () in
+  let (_ : C.outcome) = C.run ~engine:(`Workers workers) ~seed ~fault_rate ~on_record name in
+  List.rev !rows
+
+(* The tentpole property. *)
 let prefix_parity_prop =
-  QCheck2.Test.make ~count:15 ~name:"live series == batch series at every prefix"
-    QCheck2.Gen.(
-      tup4 (oneofl [ "random"; "grid"; "deeptune" ]) (oneofl [ 1; 4 ])
-        (int_range 1 1000) (oneofl [ 0.; 0.3 ]))
-    (fun (name, workers, seed, fault_rate) ->
-      let rows, on_record = collect_rows () in
-      let (_ : C.outcome) =
-        C.run ~engine:(`Workers workers) ~seed ~fault_rate ~on_record name
+  QCheck2.Test.make ~count:15 ~name:"live series == batch series at every prefix" run_gen
+    (fun run ->
+      check_prefix_parity ~metric:P.Metric.throughput ~objectives:[||] (run_rows run);
+      true)
+
+let progress_eq (a : A.Progress.snapshot) (b : A.Progress.snapshot) =
+  a.A.Progress.iteration = b.A.Progress.iteration
+  && opt_eq fl_eq a.A.Progress.best b.A.Progress.best
+  && fl_eq a.A.Progress.regret_slope b.A.Progress.regret_slope
+  && fl_eq a.A.Progress.crash_rate b.A.Progress.crash_rate
+  && opt_eq fl_eq a.A.Progress.cache_hit_rate b.A.Progress.cache_hit_rate
+  && opt_eq fl_eq a.A.Progress.worker_busy b.A.Progress.worker_busy
+  && fl_eq a.A.Progress.virtual_seconds b.A.Progress.virtual_seconds
+
+(* [run --progress] prints [Live_series.progress] filled from the
+   recorder's metrics.  At every prefix (the empty one included, where
+   neither aggregate exists yet) it must equal the batch snapshot of
+   the same rows and metrics, and so print the same line.  The metrics
+   carry image-cache traffic and a [driver.worker.busy] histogram, so
+   both aggregates are exercised at workers 1 (no busy share) and 4. *)
+let progress_parity_prop =
+  QCheck2.Test.make ~count:15 ~name:"live progress == batch progress at every prefix"
+    run_gen
+    (fun ((_, workers, _, _) as run) ->
+      let metric = P.Metric.throughput in
+      let rows = run_rows run in
+      let live =
+        Ls.create ~metric ~names:conf_names ~stages:conf_stages ~objectives:[||] ()
       in
-      check_prefix_parity ~metric:P.Metric.throughput ~objectives:[||]
-        (List.rev !rows);
+      let registry = Obs.Metrics.create () in
+      let check k =
+        let metrics = Obs.Metrics.snapshot registry in
+        let got = Ls.progress ~metrics ~workers live
+        and want =
+          A.Progress.of_series ~metrics ~workers
+            (batch_prefix ~metric ~objectives:[||] rows k)
+        in
+        let line = A.Progress.to_line ~alerts:[ "crash" ] ~metric in
+        if not (progress_eq got want && line got = line want) then
+          Alcotest.failf "prefix %d diverged:\n  live  %s\n  batch %s" k (line got)
+            (line want)
+      in
+      check 0;
+      List.iteri
+        (fun i (row : A.Series.row) ->
+          Ls.observe live row;
+          Obs.Metrics.incr registry
+            (if row.A.Series.built then "driver.image_cache.misses"
+             else "driver.image_cache.hits");
+          Obs.Metrics.observe registry "driver.worker.busy"
+            (float_of_int (1 + (i mod workers)));
+          check (i + 1))
+        rows;
       true)
 
 (* Multi-objective scenario runs carry objective vectors; the live
@@ -808,7 +863,8 @@ let () =
     [ ( "live_series",
         [ QCheck_alcotest.to_alcotest prefix_parity_prop;
           Alcotest.test_case "scenario prefixes (multi-objective)" `Quick
-            test_prefix_parity_scenario ] );
+            test_prefix_parity_scenario;
+          QCheck_alcotest.to_alcotest progress_parity_prop ] );
       ( "tail",
         [ Alcotest.test_case "whole file" `Quick test_tail_whole_file;
           Alcotest.test_case "torn writes stay pending" `Quick test_tail_torn_writes;
