@@ -220,6 +220,11 @@ let resolve_warm_start ~dir ~fp ~spec ~drift_ledger space =
     | Error e -> Error (Printf.sprintf "warm-start %s: %s" path (P.Registry.error_to_string e))
     | Ok entry -> classify path entry ~auto:false)
 
+(* [--alerts] of [run] and [watch]: no rules when the flag is absent. *)
+let parse_alerts = function
+  | None -> Ok []
+  | Some spec -> Result.map_error (fun e -> "--alerts: " ^ e) (M.Rules.parse spec)
+
 let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s ~seed ~favor
     ~csv_path ~trace_path ~ledger_path ~progress_every ~timings ~quiet ~checkpoint
     ~checkpoint_every ~keep_checkpoints ~resume ~fault_rate ~workers ~batch ~image_cache
@@ -231,11 +236,7 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
     Error "--save-model and --warm-start require --registry DIR"
   else if metrics_every <= 0 then Error "--metrics-every must be positive"
   else
-  match
-    match alerts with
-    | None -> Ok []
-    | Some spec -> Result.map_error (fun e -> "--alerts: " ^ e) (M.Rules.parse spec)
-  with
+  match parse_alerts alerts with
   | Error e -> Error e
   | Ok alert_rules ->
   let job =
@@ -487,16 +488,14 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
           (match trace_channel with Some oc -> close_out oc | None -> ());
           Error e
         | Ok ledger_writer ->
-        (* The --ledger and --progress paths share one driver hook: the
-           ledger records the (entry, belief) pair, the progress line is
-           recomputed from the identical analytics series code — no
-           duplicated math. *)
-        let live = P.History.create target.P.Target.metric in
-        (* Streaming monitor state: a Live_series fed one row per record
-           powers the alert rules and the Prometheus export in O(1) per
-           iteration — no history rescans on the hot path. *)
+        (* One driver hook: the ledger records the (entry, belief) pair,
+           and one streaming Live_series, fed one row per record, powers
+           the progress line, the alert rules and the Prometheus export in
+           O(1) per iteration -- no history rescans on the hot path.  A
+           resumed run's series starts empty, so its progress lines count
+           from the resume point. *)
         let live_series =
-          if alert_rules = [] && metrics_out = None then None
+          if progress_every = None && alert_rules = [] && metrics_out = None then None
           else
             let params = CS.Space.params target.P.Target.space in
             Some
@@ -513,17 +512,8 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
         let wants_busy =
           List.exists (function M.Rules.Starve _ -> true | _ -> false) alert_rules
         in
-        let worker_busy () =
-          if (not wants_busy) || workers <= 1 then None
-          else
-            match
-              Wayfinder_obs.Metrics.histogram
-                (Wayfinder_obs.Recorder.snapshot obs)
-                "driver.worker.busy"
-            with
-            | Some h when h.Wayfinder_obs.Metrics.count > 0 ->
-              Some (Wayfinder_obs.Metrics.mean h /. float_of_int workers)
-            | Some _ | None -> None
+        let live_progress ls =
+          M.Live_series.progress ~metrics:(Wayfinder_obs.Recorder.snapshot obs) ~workers ls
         in
         let export_metrics () =
           match metrics_out with
@@ -540,39 +530,36 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                 (P.Durable.io_error_to_string e))
         in
         let on_record =
-          if ledger_writer = None && progress_every = None && live_series = None then None
+          if ledger_writer = None && live_series = None then None
           else
             Some
               (fun entry belief ->
                 (match ledger_writer with
                 | Some w -> A.Ledger.record w entry belief
                 | None -> ());
-                P.History.add live entry;
-                (match live_series with
-                | Some ls ->
+                match live_series with
+                | None -> ()
+                | Some ls -> (
                   M.Live_series.observe ls (A.Ledger.row_of_entry entry belief);
+                  let worker_busy =
+                    if wants_busy then (live_progress ls).A.Progress.worker_busy else None
+                  in
                   List.iter
                     (fun (f : M.Rules.firing) ->
                       Wayfinder_obs.Recorder.alert obs ~rule:f.M.Rules.rule
                         f.M.Rules.message;
                       Printf.eprintf "wayfinder: ALERT %s: %s\n%!" f.M.Rules.rule
                         f.M.Rules.message)
-                    (M.Rules.evaluate rules_state ?worker_busy:(worker_busy ()) ls);
-                  if P.History.size live mod metrics_every = 0 then export_metrics ()
-                | None -> ());
-                match progress_every with
-                | Some n when P.History.size live mod n = 0 ->
-                  let series = A.Series.of_history ~space:target.P.Target.space live in
-                  let snap =
-                    A.Progress.of_series
-                      ~metrics:(Wayfinder_obs.Recorder.snapshot obs)
-                      ~workers series
-                  in
-                  Printf.eprintf "%s\n%!"
-                    (A.Progress.to_line
-                       ~alerts:(M.Rules.active rules_state)
-                       ~metric:target.P.Target.metric snap)
-                | Some _ | None -> ())
+                    (M.Rules.evaluate rules_state ?worker_busy ls);
+                  let n = M.Live_series.length ls in
+                  if n mod metrics_every = 0 then export_metrics ();
+                  match progress_every with
+                  | Some k when n mod k = 0 ->
+                    Printf.eprintf "%s\n%!"
+                      (A.Progress.to_line
+                         ~alerts:(M.Rules.active rules_state)
+                         ~metric:target.P.Target.metric (live_progress ls))
+                  | Some _ | None -> ()))
         in
         let resilience =
           policy_of_flags ~resilient ~retries ~build_timeout ~boot_timeout ~run_timeout
@@ -945,11 +932,7 @@ let run_compare ~paths ~json ~budgets =
    a deterministic function of the rows read so far, so the final
    --follow frame on a sealed ledger equals a fresh --once on it. *)
 let run_watch ~path ~follow ~interval ~alerts =
-  match
-    match alerts with
-    | None -> Ok []
-    | Some spec -> Result.map_error (fun e -> "--alerts: " ^ e) (M.Rules.parse spec)
-  with
+  match parse_alerts alerts with
   | Error e -> Error e
   | Ok rules ->
     if interval <= 0. then Error "--interval must be positive"
