@@ -47,32 +47,17 @@ let version = 5
 (* Field encodings                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Hex float literals ("%h") round-trip every finite double exactly, so a
-   resumed virtual clock is bit-identical to the interrupted one. *)
-let float_field = Printf.sprintf "%h"
+let malformed r = Result.map_error (fun msg -> Malformed msg) r
+let float_field = Field_codec.float_field
+let float_of_field s = malformed (Field_codec.float_of_field s)
+let config_field = Field_codec.config_field
+let config_of_field s = malformed (Field_codec.config_of_field s)
+let encode_string = Field_codec.encode_string
+let decode_string = Field_codec.decode_string
 
-let float_of_field s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Malformed ("bad float " ^ s))
-
-(* The token codec is shared with the analytics run ledger. *)
-let value_token = Param.value_token
-
-let value_of_token s =
-  match Param.value_of_token s with
-  | Some v -> Ok v
-  | None -> Error (Malformed ("bad value token " ^ s))
-
-(* "." denotes the empty configuration so a config field is never an empty
-   string (which a whitespace split could not distinguish). *)
-let config_field config =
-  if Array.length config = 0 then "."
-  else String.concat " " (Array.to_list (Array.map value_token config))
-
-(* Objective vectors are comma-joined %h floats; "." is the empty vector
-   (mirroring the empty-config marker) and "-" in an entry line means no
-   vector at all. *)
+(* Objective vectors are comma-joined float fields; "." is the empty
+   vector (mirroring the empty-config marker) and "-" in an entry line
+   means no vector at all. *)
 let vec_field v =
   if Array.length v = 0 then "."
   else String.concat "," (Array.to_list (Array.map float_field v))
@@ -86,47 +71,6 @@ let vec_of_field s =
         match float_of_field tok with Ok v -> go (v :: acc) rest | Error e -> Error e)
     in
     go [] (String.split_on_char ',' s)
-
-let config_of_field s =
-  if s = "." then Ok [||]
-  else
-    let tokens = String.split_on_char ' ' s in
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | tok :: rest -> ( match value_of_token tok with Ok v -> go (v :: acc) rest | Error e -> Error e)
-    in
-    go [] tokens
-
-(* Failure strings may be user-supplied ([Other _]); percent-encode the
-   characters the line format reserves. *)
-let encode_string s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '\t' | '\n' | '\r' | ' ' -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let decode_string s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code -> Buffer.add_char buf (Char.chr code)
-        | None -> Buffer.add_string buf (String.sub s i 3));
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)

@@ -48,65 +48,13 @@ let error_to_string = function
 
 let version = 1
 
-(* ------------------------------------------------------------------ *)
-(* Field codecs (shared conventions with Checkpoint)                   *)
-(* ------------------------------------------------------------------ *)
-
-(* %h hex floats: every double round-trips bitwise. *)
-let float_field x = Printf.sprintf "%h" x
-
-let float_of_field s =
-  match float_of_string_opt s with
-  | Some x -> Ok x
-  | None -> Error (Malformed ("bad float field " ^ s))
-
-(* Percent-encode the characters the line format reserves. *)
-let encode_string s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '\t' | '\n' | '\r' | ' ' ->
-        Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let decode_string s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code -> Buffer.add_char buf (Char.chr code)
-        | None -> Buffer.add_string buf (String.sub s i 3));
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents buf
-
-(* "." denotes the empty configuration (a config field is never ""). *)
-let config_field config =
-  if Array.length config = 0 then "."
-  else String.concat " " (Array.to_list (Array.map Param.value_token config))
-
-let config_of_field s =
-  if s = "." then Ok [||]
-  else
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | tok :: rest -> (
-        match Param.value_of_token tok with
-        | Some v -> go (v :: acc) rest
-        | None -> Error (Malformed ("bad value token " ^ tok)))
-    in
-    go [] (String.split_on_char ' ' s)
+let malformed r = Result.map_error (fun msg -> Malformed msg) r
+let float_field = Field_codec.float_field
+let float_of_field s = malformed (Field_codec.float_of_field s)
+let config_field = Field_codec.config_field
+let config_of_field s = malformed (Field_codec.config_of_field s)
+let encode_string = Field_codec.encode_string
+let decode_string = Field_codec.decode_string
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
