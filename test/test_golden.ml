@@ -13,9 +13,11 @@
    - the top-5 learned parameter impacts, printed with [%h] (exact bits);
    - an MD5 of the final model snapshot, every float printed with [%h].
 
-   A third pin drives the CLI itself: the full stderr (progress lines and
-   [ALERT] lines) of a monitored flash-crowd run and of its resumed second
-   half, compared byte for byte with [golden/progress-flash.txt].
+   Two more pins drive the CLI itself and compare its full stderr byte
+   for byte: the progress and [ALERT] lines of a monitored flash-crowd run
+   and of its resumed second half ([golden/progress-flash.txt]), and the
+   progress lines of a run with no other monitoring flag
+   ([golden/progress-only.txt]).
 
    To re-record after a deliberate behaviour change:
      dune exec test/test_golden.exe -- --print NAME > test/golden/FILE
@@ -174,11 +176,20 @@ let progress_flash () =
       let second = cli_stderr (flags @ [ "--resume"; "-n"; "400" ]) in
       String.split_on_char '\n' (first ^ second))
 
+(* [run --progress 20] with no alert rule and no metrics export: the
+   progress lines alone must still be printed. *)
+let progress_only () =
+  String.split_on_char '\n'
+    (cli_stderr
+       [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--workers"; "4";
+         "-n"; "100"; "--progress"; "20" ])
+
 (* (name, golden file, compute, whether blank lines are significant). *)
 let runs =
   [ ("sim-linux-nginx-deeptune", "sim-linux-nginx-deeptune.digest", nginx_deeptune, false);
     ("flash-crowd-multi", "flash-crowd-multi.digest", flash_crowd_multi, false);
-    ("progress-flash", "progress-flash.txt", progress_flash, true) ]
+    ("progress-flash", "progress-flash.txt", progress_flash, true);
+    ("progress-only", "progress-only.txt", progress_only, true) ]
 
 let read_lines ~exact path =
   read_file (Filename.concat "golden" path)

@@ -121,22 +121,25 @@ let progress_eq (a : A.Progress.snapshot) (b : A.Progress.snapshot) =
    neither aggregate exists yet) it must equal the batch snapshot of
    the same rows and metrics, and so print the same line.  The metrics
    carry image-cache traffic and a [driver.worker.busy] histogram, so
-   both aggregates are exercised at workers 1 (no busy share) and 4. *)
+   both aggregates are exercised at workers 1 (no busy share) and 4.  The
+   runs are 12 iterations long, so a window of 5 makes the trailing slope
+   retire rows from its ring. *)
 let progress_parity_prop =
   QCheck2.Test.make ~count:15 ~name:"live progress == batch progress at every prefix"
     run_gen
     (fun ((_, workers, _, _) as run) ->
       let metric = P.Metric.throughput in
       let rows = run_rows run in
+      let window = 5 in
       let live =
-        Ls.create ~metric ~names:conf_names ~stages:conf_stages ~objectives:[||] ()
+        Ls.create ~window ~metric ~names:conf_names ~stages:conf_stages ~objectives:[||] ()
       in
       let registry = Obs.Metrics.create () in
       let check k =
         let metrics = Obs.Metrics.snapshot registry in
         let got = Ls.progress ~metrics ~workers live
         and want =
-          A.Progress.of_series ~metrics ~workers
+          A.Progress.of_series ~window ~metrics ~workers
             (batch_prefix ~metric ~objectives:[||] rows k)
         in
         let line = A.Progress.to_line ~alerts:[ "crash" ] ~metric in
