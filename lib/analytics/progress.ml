@@ -13,25 +13,28 @@ type snapshot = {
 
 let default_window = 25
 
-let with_metrics ?workers m snap =
-  let hits = Obs.Metrics.counter m "driver.image_cache.hits" in
-  let misses = Obs.Metrics.counter m "driver.image_cache.misses" in
-  let worker_busy =
-    match workers with
-    | Some w when w > 1 -> (
-      match Obs.Metrics.histogram m "driver.worker.busy" with
-      | Some h when h.Obs.Metrics.count > 0 ->
-        Some (Obs.Metrics.mean h /. float_of_int w)
-      | Some _ | None -> None)
-    | Some _ | None -> None
-  in
-  { snap with
-    cache_hit_rate =
-      (if hits +. misses <= 0. then None else Some (hits /. (hits +. misses)));
-    worker_busy }
+let with_metrics ?metrics ?workers snap =
+  match metrics with
+  | None -> snap
+  | Some m ->
+    let hits = Obs.Metrics.counter m "driver.image_cache.hits" in
+    let misses = Obs.Metrics.counter m "driver.image_cache.misses" in
+    let worker_busy =
+      match workers with
+      | Some w when w > 1 -> (
+        match Obs.Metrics.histogram m "driver.worker.busy" with
+        | Some h when h.Obs.Metrics.count > 0 ->
+          Some (Obs.Metrics.mean h /. float_of_int w)
+        | Some _ | None -> None)
+      | Some _ | None -> None
+    in
+    { snap with
+      cache_hit_rate =
+        (if hits +. misses <= 0. then None else Some (hits /. (hits +. misses)));
+      worker_busy }
 
 let of_series ?(window = default_window) ?metrics ?workers (s : Series.t) =
-  let snap =
+  with_metrics ?metrics ?workers
     { iteration = Series.length s;
       best = Option.map snd (Series.best s);
       regret_slope = Series.regret_slope s ~window;
@@ -39,8 +42,6 @@ let of_series ?(window = default_window) ?metrics ?workers (s : Series.t) =
       cache_hit_rate = None;
       worker_busy = None;
       virtual_seconds = Series.last_at_seconds s }
-  in
-  match metrics with None -> snap | Some m -> with_metrics ?workers m snap
 
 let to_line ?(alerts = []) ~metric snap =
   let buf = Buffer.create 96 in

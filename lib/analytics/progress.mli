@@ -29,11 +29,13 @@ type snapshot = {
 val default_window : int
 (** 25 — trailing window for the slope. *)
 
-val with_metrics : ?workers:int -> Obs.Metrics.snapshot -> snapshot -> snapshot
+val with_metrics :
+  ?metrics:Obs.Metrics.snapshot -> ?workers:int -> snapshot -> snapshot
 (** [snap] with [cache_hit_rate] and [worker_busy] derived from a
-    recorder's metrics: the driver's [driver.image_cache.hits]/[misses]
+    recorder's [metrics]: the driver's [driver.image_cache.hits]/[misses]
     counters, and the mean of its [driver.worker.busy] histogram divided
-    by [workers].  The one place both rates are computed. *)
+    by [workers].  The one place both rates are computed.  Without
+    [metrics], [snap] unchanged. *)
 
 val of_series :
   ?window:int -> ?metrics:Obs.Metrics.snapshot -> ?workers:int -> Series.t -> snapshot

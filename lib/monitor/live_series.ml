@@ -257,7 +257,7 @@ let tail_series t ~window =
 let pareto t = t.front
 
 let progress ?metrics ?workers t =
-  let snap =
+  A.Progress.with_metrics ?metrics ?workers
     { A.Progress.iteration = t.n;
       best = Option.map snd t.best;
       regret_slope = regret_slope t;
@@ -266,7 +266,3 @@ let progress ?metrics ?workers t =
       cache_hit_rate = None;
       worker_busy = None;
       virtual_seconds = t.last_at }
-  in
-  match metrics with
-  | None -> snap
-  | Some m -> A.Progress.with_metrics ?workers m snap
