@@ -15,9 +15,10 @@
 
    Two more pins drive the CLI itself and compare its full stderr byte
    for byte: the progress and [ALERT] lines of a monitored flash-crowd run
-   and of its resumed second half ([golden/progress-flash.txt]), and the
+   and of its resumed second half ([golden/progress-flash.txt]), the
    progress lines of a run with no other monitoring flag
-   ([golden/progress-only.txt]).
+   ([golden/progress-only.txt]), and a worker-starvation alert
+   ([golden/starve-flash.txt]).
 
    To re-record after a deliberate behaviour change:
      dune exec test/test_golden.exe -- --print NAME > test/golden/FILE
@@ -136,7 +137,11 @@ let flash_crowd_multi () =
   in
   [ "ledger " ^ ledger; "export " ^ floats_digest model ]
 
-let wayfinder = Filename.concat (Filename.concat ".." "bin") "wayfinder.exe"
+(* Beside this test in the build tree, whatever the working directory. *)
+let wayfinder =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+    (Filename.concat "bin" "wayfinder.exe")
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -184,12 +189,23 @@ let progress_only () =
        [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--workers"; "4";
          "-n"; "100"; "--progress"; "20" ])
 
+(* A [starve<1] rule at 4 workers: it only fires when [run] hands the
+   rules the pool's busy fraction. *)
+let starve_flash () =
+  String.split_on_char '\n'
+    (cli_stderr
+       [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--scenario";
+         "flash-crowd"; "--scenario-stride"; "1"; "--objectives"; "throughput,p99,memory";
+         "--workers"; "4"; "--fault-rate"; "0.1"; "--resilient"; "--alerts"; "starve<1";
+         "--progress"; "30"; "-n"; "300" ])
+
 (* (name, golden file, compute, whether blank lines are significant). *)
 let runs =
   [ ("sim-linux-nginx-deeptune", "sim-linux-nginx-deeptune.digest", nginx_deeptune, false);
     ("flash-crowd-multi", "flash-crowd-multi.digest", flash_crowd_multi, false);
     ("progress-flash", "progress-flash.txt", progress_flash, true);
-    ("progress-only", "progress-only.txt", progress_only, true) ]
+    ("progress-only", "progress-only.txt", progress_only, true);
+    ("starve-flash", "starve-flash.txt", starve_flash, true) ]
 
 let read_lines ~exact path =
   read_file (Filename.concat "golden" path)
