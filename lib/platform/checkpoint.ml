@@ -1,5 +1,4 @@
 module Space = Wayfinder_configspace.Space
-module Param = Wayfinder_configspace.Param
 
 type inflight = {
   index : int;

@@ -160,9 +160,15 @@ let cli_stderr args =
       if code <> 0 then failwith (Printf.sprintf "%s exited %d" cmd code);
       read_file err)
 
-(* [run] on flash-crowd with 4 workers, faults, alert rules, [--progress
-   25] and a checkpoint: 200 iterations, then [--resume] to 400.  The
-   resumed run's progress lines count from the resume point. *)
+(* [run] on flash-crowd with 4 workers and faults. *)
+let flash_crowd_run =
+  [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--scenario";
+    "flash-crowd"; "--scenario-stride"; "1"; "--objectives"; "throughput,p99,memory";
+    "--workers"; "4"; "--fault-rate"; "0.1"; "--resilient" ]
+
+(* With alert rules, [--progress 25] and a checkpoint: 200 iterations,
+   then [--resume] to 400.  The resumed run's progress lines count from
+   the resume point. *)
 let progress_flash () =
   let dir = Filename.temp_dir "wayfinder_golden" "" in
   let checkpoint = Filename.concat dir "run.ck" in
@@ -172,10 +178,8 @@ let progress_flash () =
       Sys.rmdir dir)
     (fun () ->
       let flags =
-        [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--scenario";
-          "flash-crowd"; "--scenario-stride"; "1"; "--objectives"; "throughput,p99,memory";
-          "--workers"; "4"; "--fault-rate"; "0.1"; "--resilient"; "--alerts";
-          "crash>0.5@40,stall>30"; "--progress"; "25"; "--checkpoint"; checkpoint ]
+        flash_crowd_run
+        @ [ "--alerts"; "crash>0.5@40,stall>30"; "--progress"; "25"; "--checkpoint"; checkpoint ]
       in
       let first = cli_stderr (flags @ [ "-n"; "200" ]) in
       let second = cli_stderr (flags @ [ "--resume"; "-n"; "400" ]) in
@@ -189,15 +193,12 @@ let progress_only () =
        [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--workers"; "4";
          "-n"; "100"; "--progress"; "20" ])
 
-(* A [starve<1] rule at 4 workers: it only fires when [run] hands the
-   rules the pool's busy fraction. *)
+(* A [starve<1] rule: it only fires when [run] hands the rules the
+   worker pool's busy fraction. *)
 let starve_flash () =
   String.split_on_char '\n'
     (cli_stderr
-       [ "run"; "--app"; "nginx"; "--algorithm"; "random"; "--seed"; "1"; "--scenario";
-         "flash-crowd"; "--scenario-stride"; "1"; "--objectives"; "throughput,p99,memory";
-         "--workers"; "4"; "--fault-rate"; "0.1"; "--resilient"; "--alerts"; "starve<1";
-         "--progress"; "30"; "-n"; "300" ])
+       (flash_crowd_run @ [ "--alerts"; "starve<1"; "--progress"; "30"; "-n"; "300" ]))
 
 (* (name, golden file, compute, whether blank lines are significant). *)
 let runs =
