@@ -173,7 +173,7 @@ type outcome = {
    a pool; it is the determinism oracle the pooled runs are compared
    against. *)
 let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 12)
-    ?(fault_rate = 0.) ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration
+    ?(fault_rate = 0.) ?resilience ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration
     ?on_record ?image_cache ?domains name =
   let target = faulty_target ~fault_rate ~seed in
   let algo, observed = with_observe_counter (algorithm name ~seed target.Target.space) in
@@ -190,11 +190,11 @@ let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 1
     with_domains (fun () ->
         match engine with
         | `Sequential ->
-          Driver.run_sequential ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
-            ?resume_from ?image_cache ~target ?on_iteration ?on_record ~algorithm:algo ~budget
+          Driver.run_sequential ~seed ~obs:(frozen_obs ()) ?resilience ?checkpoint_path
+            ?checkpoint_every ?resume_from ?image_cache ~target ?on_iteration ?on_record ~algorithm:algo ~budget
             ()
         | `Workers workers ->
-          Driver.run ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
+          Driver.run ~seed ~obs:(frozen_obs ()) ?resilience ?checkpoint_path ?checkpoint_every
             ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ~target
             ~algorithm:algo ~budget ())
   in
@@ -215,6 +215,44 @@ let config_multiset r =
 
 let phase_sum r =
   List.fold_left (fun acc (_, s) -> acc +. s) 0. (Driver.phase_virtual_seconds r)
+
+let stop_reason_name = function
+  | Driver.Budget_exhausted -> "budget"
+  | Driver.Invalid_cap -> "invalid-cap"
+  | Driver.Space_exhausted -> "space-exhausted"
+
+(* The whole observable outcome of a run as text: every history entry,
+   the metrics snapshot, the final clock reading, the stop reason, the
+   iteration count and the Pareto archive.  Floats print with [%h] (exact
+   bits) and strings with [%S], so two results render alike iff they are
+   equal field by field. *)
+let render b (r : Driver.result) =
+  let floats v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v)) in
+  let opt f = function None -> "-" | Some x -> f x in
+  Array.iter
+    (fun (e : History.entry) ->
+      Printf.bprintf b "entry %d %S %s %s %h %h %b %h [%s]\n" e.History.index
+        (Param.config_key e.History.config)
+        (opt (Printf.sprintf "%h") e.History.value)
+        (opt (fun f -> Printf.sprintf "%S" (Failure.to_string f)) e.History.failure)
+        e.History.at_seconds e.History.eval_seconds e.History.built e.History.decide_seconds
+        (opt floats e.History.objectives))
+    (entries r);
+  List.iter
+    (fun (name, v) -> Printf.bprintf b "counter %S %h\n" name v)
+    r.Driver.metrics.Obs.Metrics.counters;
+  List.iter
+    (fun (name, (h : Obs.Metrics.histogram)) ->
+      Printf.bprintf b "histogram %S %d %h %h %h" name h.Obs.Metrics.count h.Obs.Metrics.sum
+        h.Obs.Metrics.min h.Obs.Metrics.max;
+      Array.iter (fun (bound, n) -> Printf.bprintf b " %h:%d" bound n) h.Obs.Metrics.buckets;
+      Buffer.add_char b '\n')
+    r.Driver.metrics.Obs.Metrics.histograms;
+  List.iter
+    (fun (i, v) -> Printf.bprintf b "pareto %d [%s]\n" i (floats v))
+    (Pareto.to_list r.Driver.pareto);
+  Printf.bprintf b "clock %h\nstop %s\niterations %d\n" (S.Vclock.now r.Driver.clock)
+    (stop_reason_name r.Driver.stop_reason) r.Driver.iterations
 
 (* ------------------------------------------------------------------ *)
 (* Trace-replay scenario harness                                       *)

@@ -20,6 +20,11 @@
    ([golden/progress-only.txt]), and a worker-starvation alert
    ([golden/starve-flash.txt]).
 
+   One more pin, [golden/engine-conformance.digest], records the
+   driver's whole outcome (history, metrics, clock, stop reason,
+   iteration count, Pareto archive, trace cursor) over the conformance
+   harness's domain; see [engine_conformance].
+
    To re-record after a deliberate behaviour change:
      dune exec test/test_golden.exe -- --print NAME > test/golden/FILE
    for each run NAME (and its FILE) in [runs] below. *)
@@ -28,6 +33,7 @@ module P = Wayfinder_platform
 module S = Wayfinder_simos
 module D = Wayfinder_deeptune
 module A = Wayfinder_analytics
+module C = Conformance
 
 (* Drop every ["key":value] whose value consists of [value_chars]; the
    surrounding commas stay, exactly as with the sed above. *)
@@ -200,23 +206,89 @@ let starve_flash () =
     (cli_stderr
        (flash_crowd_run @ [ "--alerts"; "starve<1"; "--progress"; "30"; "-n"; "300" ]))
 
+(* The one-slot engine over the conformance domain (seeds 0-1000 ×
+   {random, grid, bayes, unicorn} × fault rate {0, 0.10}, 10 iterations;
+   the same with the default resilient policy at fault rate 0.10), plus
+   DeepTune at seed 3 and every scenario searcher at seed 7 with its
+   Pareto archive and trace cursor.  Each line is the MD5 of
+   [Conformance.render] over one (algorithm, fault rate, block of at most
+   100 seeds), so a failure names its block. *)
+let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+let engine_conformance ~engine () =
+  let budget = P.Driver.Iterations 10 in
+  let seed_blocks = List.init 11 (fun i -> (100 * i, min 1000 ((100 * i) + 99))) in
+  let domain ?resilience ~label fault_rates =
+    List.concat_map
+      (fun algo ->
+        List.concat_map
+          (fun fault_rate ->
+            List.map
+              (fun (lo, hi) ->
+                let b = Buffer.create 65536 in
+                for seed = lo to hi do
+                  Printf.bprintf b "seed %d\n" seed;
+                  C.render b (C.run ~engine ?resilience ~seed ~budget ~fault_rate algo).C.result
+                done;
+                Printf.sprintf "%s%s fault=%g seeds=%d-%d %s" label algo fault_rate lo hi (md5 b))
+              seed_blocks)
+          fault_rates)
+      [ "random"; "grid"; "bayes"; "unicorn" ]
+  in
+  let deeptune =
+    let b = Buffer.create 4096 in
+    C.render b (C.run ~engine ~seed:3 ~budget "deeptune").C.result;
+    Printf.sprintf "deeptune seed=3 %s" (md5 b)
+  in
+  let scenario algo =
+    let b = Buffer.create 4096 in
+    let o, cursor =
+      C.run_scenario ~engine ~seed:7 ~budget:(P.Driver.Iterations 12) algo
+    in
+    C.render b o.C.result;
+    Printf.bprintf b "cursor %d\n" cursor;
+    Printf.sprintf "scenario %s seed=7 %s" algo (md5 b)
+  in
+  domain ~label:"" [ 0.; 0.10 ]
+  @ domain ~resilience:P.Resilience.default_resilient ~label:"resilient " [ 0.10 ]
+  @ [ deeptune ]
+  @ List.map scenario C.scenario_names
+
 (* (name, golden file, compute, whether blank lines are significant). *)
 let runs =
   [ ("sim-linux-nginx-deeptune", "sim-linux-nginx-deeptune.digest", nginx_deeptune, false);
     ("flash-crowd-multi", "flash-crowd-multi.digest", flash_crowd_multi, false);
     ("progress-flash", "progress-flash.txt", progress_flash, true);
     ("progress-only", "progress-only.txt", progress_only, true);
-    ("starve-flash", "starve-flash.txt", starve_flash, true) ]
+    ("starve-flash", "starve-flash.txt", starve_flash, true);
+    ( "engine-conformance",
+      "engine-conformance.digest",
+      engine_conformance ~engine:(`Workers 1),
+      false );
+    (* The recording: the legacy sequential loop the engine replaced. *)
+    ( "engine-conformance-sequential",
+      "engine-conformance.digest",
+      engine_conformance ~engine:`Sequential,
+      false ) ]
 
 let read_lines ~exact path =
   read_file (Filename.concat "golden" path)
   |> String.split_on_char '\n'
   |> List.filter (fun l -> exact || l <> "")
 
+(* A mismatch lists only the lines missing from, and added to, the
+   golden file, so a fixture of many digest lines names its failing
+   blocks. *)
 let check_run (name, file, compute, exact) () =
   let expected = read_lines ~exact file in
   let actual = compute () in
-  Alcotest.(check (list string)) (name ^ " digests") expected actual
+  if actual <> expected then begin
+    let only l other = List.filter (fun x -> not (List.mem x other)) l in
+    let lines sign l = List.map (fun x -> sign ^ x) l in
+    Alcotest.failf "%s differs from golden/%s (%d lines expected, %d computed):\n%s" name file
+      (List.length expected) (List.length actual)
+      (String.concat "\n" (lines "- " (only expected actual) @ lines "+ " (only actual expected)))
+  end
 
 let () =
   match Array.to_list Sys.argv with

@@ -81,6 +81,30 @@ let test_roundtrip () =
     Alcotest.(check string) "render is a fixpoint" (Registry.to_string e)
       (Registry.to_string e')
 
+(* The codec's bytes, not just its round-trip: one fixed entry whose
+   strings carry the reserved characters (space, '%', newline) and whose
+   floats include NaN, -0. and the infinities.  A change to the string
+   escaping or the float format moves the size or the CRC. *)
+let known_answer_entry () =
+  let e =
+    sample_entry ~app:"sim test/app 100%\nx"
+      ~model:[| Float.nan; -0.; 1.5; infinity; neg_infinity; 5e-324 |]
+      space_a
+  in
+  { e with
+    Registry.meta =
+      { e.Registry.meta with
+        Registry.algo = "deep tune";
+        objectives = [ "p 95"; "mem%" ];
+        best_value = Some Float.nan;
+        mean_value = -0.;
+        ledger = Some "runs/a b%.jsonl" } }
+
+let test_format_known_answer () =
+  let s = Registry.to_string (known_answer_entry ()) in
+  Alcotest.(check (pair int string)) "size and digest of the v1 bytes" (642, "4bae64ca")
+    (String.length s, Crc32.to_hex (Crc32.digest s))
+
 let prop_roundtrip_bitwise =
   QCheck2.Test.make ~name:"random entries round-trip bitwise" ~count:100
     QCheck2.Gen.(pair (list float) (pair small_nat small_nat))
@@ -360,7 +384,8 @@ let () =
     [ ( "roundtrip",
         [ Alcotest.test_case "sealed entry round-trips" `Quick test_roundtrip;
           Alcotest.test_case "body without trailer loads unsealed" `Quick test_unsealed_loads;
-          QCheck_alcotest.to_alcotest prop_roundtrip_bitwise ] );
+          QCheck_alcotest.to_alcotest prop_roundtrip_bitwise;
+          Alcotest.test_case "format known answer" `Quick test_format_known_answer ] );
       ( "fingerprint",
         [ Alcotest.test_case "mismatch is typed, filename never trusted" `Quick
             test_fingerprint_mismatch_is_typed ] );
