@@ -1285,7 +1285,7 @@ let run_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:"Keep $(docv) virtual evaluation slots busy: build/boot/benchmark pipelines of \
                 several configurations overlap on the discrete-event virtual clock. $(docv)=1 \
-                is byte-for-byte the sequential driver.")
+                evaluates one configuration at a time.")
   in
   let batch =
     Arg.(

@@ -44,8 +44,8 @@ let parse_one s =
   let fail () = Error (Printf.sprintf "unrecognised alert rule %S" s) in
   let float_of what v =
     match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "%s: %S is not a number" what v)
+    | Some f when Float.is_finite f -> Ok f
+    | Some _ | None -> Error (Printf.sprintf "%s: %S is not a finite number" what v)
   in
   let int_of what v =
     match int_of_string_opt v with

@@ -404,10 +404,10 @@ let of_body s =
         match String.split_on_char ' ' rest with
         | [ k; n ] -> (
           match int_of_string_opt n with
-          | Some n ->
+          | Some n when n >= 0 ->
             strikes := (decode_string k, n) :: !strikes;
             Ok ()
-          | None -> Error (Malformed "bad strike field"))
+          | Some _ | None -> Error (Malformed "bad strike field"))
         | _ -> Error (Malformed "bad strike field"))
       | "quarantined" ->
         quarantined := decode_string rest :: !quarantined;
@@ -469,6 +469,15 @@ let of_body s =
       if List.length entries = iterations then Ok ()
       else Error (Malformed "entry count does not match iterations")
     in
+    let* () = if Float.is_finite clock_seconds then Ok () else Error (Malformed "bad clock field") in
+    let* () =
+      if Float.is_finite budget_start_seconds then Ok ()
+      else Error (Malformed "bad budget_start field")
+    in
+    let* () =
+      if consecutive_invalid >= 0 then Ok ()
+      else Error (Malformed "bad consecutive_invalid field")
+    in
     let* () = if workers >= 1 then Ok () else Error (Malformed "bad workers field") in
     let* () =
       if cache_capacity >= 1 then Ok () else Error (Malformed "bad cache_capacity field")
@@ -485,6 +494,10 @@ let of_body s =
     let* () =
       if List.for_all (fun i -> i.slot < workers) inflight then Ok ()
       else Error (Malformed "inflight slot out of range")
+    in
+    let* () =
+      if List.for_all (fun (_, e) -> e.Image_cache.origin < workers) cache then Ok ()
+      else Error (Malformed "bad cached origin")
     in
     Ok
       { seed;

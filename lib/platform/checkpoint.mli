@@ -51,19 +51,23 @@ type inflight = {
 type t = {
   seed : int;
   rng_state : int64;  (** Driver RNG state at checkpoint time (verification). *)
-  clock_seconds : float;  (** Virtual clock reading. *)
-  budget_start_seconds : float;  (** Clock reading when the run started. *)
+  clock_seconds : float;
+      (** Virtual clock reading (finite).  A resume re-runs the recorded
+          timeline and does not read it; it is informational (the CLI's
+          resume message). *)
+  budget_start_seconds : float;  (** Clock reading when the run started (finite). *)
   iterations : int;  (** Completed (recorded) evaluations. *)
   workers : int;  (** Virtual evaluation slots of the writing run. *)
-  consecutive_invalid : int;
+  consecutive_invalid : int;  (** Non-negative. *)
   cache_capacity : int;  (** Image-cache capacity of the writing run. *)
   cache : (string * Image_cache.entry) list;
       (** Shared image-cache contents in recency order, most recently used
           first (exactly {!Image_cache.to_alist}); at most
-          [cache_capacity] bindings with distinct keys. *)
+          [cache_capacity] bindings with distinct keys, each built by a
+          slot below [workers]. *)
   strikes : (string * int) list;
       (** Canonical config key ({!Param.config_key}) → exhausted-retry
-          episodes, sorted by key. *)
+          episodes (non-negative), sorted by key. *)
   quarantined : string list;  (** Quarantined canonical config keys, sorted. *)
   entries : History.entry list;  (** Completion order, oldest first. *)
   inflight : inflight list;  (** Launched but not yet completed tasks. *)

@@ -152,16 +152,16 @@ val run :
     {!Iterations} budget counts proposals (all of which complete); the
     invalid cap and a [Virtual_seconds] budget stop new launches, and
     tasks already in flight drain to completion and are recorded.  With
-    [workers = 1] the engine is byte-for-byte equivalent to
-    {!run_sequential}.  With [workers > 1] the recorder additionally
-    carries a [driver.batch.size] histogram (proposals obtained per
-    ask), a [driver.worker.busy] histogram (busy slots at each
-    completion) and per-slot [driver.worker] spans.
+    [workers = 1] the engine evaluates one proposal at a time.  With
+    [workers > 1] the recorder additionally carries a
+    [driver.batch.size] histogram (proposals obtained per ask), a
+    [driver.worker.busy] histogram (busy slots at each completion) and
+    per-slot [driver.worker] spans.
 
     [image_cache] configures the shared image cache (default capacity:
     [workers] — pooled, where the pre-cache engine kept one baseline
-    image per slot).  With [workers = 1] and capacity 1 the cache {e is}
-    the historical single-baseline rebuild-skip, byte-for-byte.  Larger
+    image per slot).  Capacity 1, the default at [workers = 1], is the
+    historical rebuild-skip of the last built image.  Larger
     capacities let images survive across intervening builds and across
     slots: any slot whose proposal shares a {!Space.stage_key} with a
     cached image skips the build phase entirely (0 build seconds,
@@ -196,36 +196,6 @@ val run :
     checkpoint, or a resume's [Iterations] budget is below the number of
     iterations the checkpoint already launched (completed plus in
     flight). *)
-
-val run_sequential :
-  ?seed:int ->
-  ?clock:Vclock.t ->
-  ?on_iteration:(History.entry -> unit) ->
-  ?on_record:(History.entry -> Search_algorithm.belief option -> unit) ->
-  ?obs:Obs.Recorder.t ->
-  ?invalid_floor_s:float ->
-  ?max_consecutive_invalid:int ->
-  ?resilience:Resilience.policy ->
-  ?checkpoint_path:string ->
-  ?checkpoint_every:int ->
-  ?checkpoint_keep:int ->
-  ?resume_from:Checkpoint.t ->
-  ?image_cache:Image_cache.config ->
-  ?scenario:Scenario.t ->
-  target:Target.t ->
-  algorithm:Search_algorithm.t ->
-  budget:budget ->
-  unit ->
-  result
-(** The legacy strictly-sequential loop — one proposal, one synchronous
-    evaluation, one observe per step — kept as the executable
-    specification of the engine's [workers = 1] semantics: the
-    conformance suite asserts [run ~workers:1] produces a byte-identical
-    history, metrics snapshot and virtual trajectory.  [image_cache]
-    defaults to capacity 1 (the historical "last built image" baseline).
-    Only resumes checkpoints written with [workers = 1] and no in-flight
-    tasks, and rejects a resume budget below the checkpoint's iteration
-    count exactly as {!run} does. *)
 
 val phase_virtual_seconds : result -> (string * float) list
 (** Virtual seconds charged per phase, in {!virtual_phases} order. *)

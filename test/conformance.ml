@@ -2,10 +2,10 @@
 
    Every search algorithm — random, grid, Bayesian, DeepTune and the
    Unicorn causal baseline — is driven through the same battery of engine
-   invariants, in both the sequential driver and the batched multi-worker
-   engine.  The harness lives in its own module so the conformance suite,
-   the equivalence properties and the resume tests all exercise identical
-   targets and algorithm constructions. *)
+   invariants, at one worker and at several.  The harness lives in its
+   own module so the conformance suite, the equivalence properties, the
+   resume tests and the golden suite's recorded engine fixture all
+   exercise identical targets and algorithm constructions. *)
 
 open Wayfinder_platform
 module S = Wayfinder_simos
@@ -162,19 +162,16 @@ type outcome = {
   observed : (int, int) Hashtbl.t;  (* entry index -> observe calls *)
 }
 
-(* [engine]: [`Sequential] is the legacy loop ([Driver.run_sequential]);
-   [`Workers n] the batched engine.  The recorder is frozen so wall-clock
-   fields are zero and outcomes compare byte-for-byte.
+(* [Driver.run] at [workers] (default 1).  The recorder is frozen so
+   wall-clock fields are zero and outcomes compare byte-for-byte.
 
    [domains] runs the whole thing with a domain pool of that size
    installed as the ambient default, so the numeric kernels — matmul,
    DTM training and pool scoring — parallelize; the engine itself still
-   evaluates on the calling domain.  The sequential loop is run without
-   a pool; it is the determinism oracle the pooled runs are compared
-   against. *)
-let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 12)
-    ?(fault_rate = 0.) ?resilience ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration
-    ?on_record ?image_cache ?domains name =
+   evaluates on the calling domain. *)
+let run ?(workers = 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 12)
+    ?(fault_rate = 0.) ?resilience ?checkpoint_path ?checkpoint_every ?resume_from
+    ?on_iteration ?on_record ?image_cache ?domains name =
   let target = faulty_target ~fault_rate ~seed in
   let algo, observed = with_observe_counter (algorithm name ~seed target.Target.space) in
   let with_domains f =
@@ -188,15 +185,9 @@ let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 1
   in
   let result =
     with_domains (fun () ->
-        match engine with
-        | `Sequential ->
-          Driver.run_sequential ~seed ~obs:(frozen_obs ()) ?resilience ?checkpoint_path
-            ?checkpoint_every ?resume_from ?image_cache ~target ?on_iteration ?on_record ~algorithm:algo ~budget
-            ()
-        | `Workers workers ->
-          Driver.run ~seed ~obs:(frozen_obs ()) ?resilience ?checkpoint_path ?checkpoint_every
-            ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ~target
-            ~algorithm:algo ~budget ())
+        Driver.run ~seed ~obs:(frozen_obs ()) ?resilience ?checkpoint_path ?checkpoint_every
+          ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ~target
+          ~algorithm:algo ~budget ())
   in
   { result; observed }
 
@@ -215,44 +206,6 @@ let config_multiset r =
 
 let phase_sum r =
   List.fold_left (fun acc (_, s) -> acc +. s) 0. (Driver.phase_virtual_seconds r)
-
-let stop_reason_name = function
-  | Driver.Budget_exhausted -> "budget"
-  | Driver.Invalid_cap -> "invalid-cap"
-  | Driver.Space_exhausted -> "space-exhausted"
-
-(* The whole observable outcome of a run as text: every history entry,
-   the metrics snapshot, the final clock reading, the stop reason, the
-   iteration count and the Pareto archive.  Floats print with [%h] (exact
-   bits) and strings with [%S], so two results render alike iff they are
-   equal field by field. *)
-let render b (r : Driver.result) =
-  let floats v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v)) in
-  let opt f = function None -> "-" | Some x -> f x in
-  Array.iter
-    (fun (e : History.entry) ->
-      Printf.bprintf b "entry %d %S %s %s %h %h %b %h [%s]\n" e.History.index
-        (Param.config_key e.History.config)
-        (opt (Printf.sprintf "%h") e.History.value)
-        (opt (fun f -> Printf.sprintf "%S" (Failure.to_string f)) e.History.failure)
-        e.History.at_seconds e.History.eval_seconds e.History.built e.History.decide_seconds
-        (opt floats e.History.objectives))
-    (entries r);
-  List.iter
-    (fun (name, v) -> Printf.bprintf b "counter %S %h\n" name v)
-    r.Driver.metrics.Obs.Metrics.counters;
-  List.iter
-    (fun (name, (h : Obs.Metrics.histogram)) ->
-      Printf.bprintf b "histogram %S %d %h %h %h" name h.Obs.Metrics.count h.Obs.Metrics.sum
-        h.Obs.Metrics.min h.Obs.Metrics.max;
-      Array.iter (fun (bound, n) -> Printf.bprintf b " %h:%d" bound n) h.Obs.Metrics.buckets;
-      Buffer.add_char b '\n')
-    r.Driver.metrics.Obs.Metrics.histograms;
-  List.iter
-    (fun (i, v) -> Printf.bprintf b "pareto %d [%s]\n" i (floats v))
-    (Pareto.to_list r.Driver.pareto);
-  Printf.bprintf b "clock %h\nstop %s\niterations %d\n" (S.Vclock.now r.Driver.clock)
-    (stop_reason_name r.Driver.stop_reason) r.Driver.iterations
 
 (* ------------------------------------------------------------------ *)
 (* Trace-replay scenario harness                                       *)
@@ -346,7 +299,7 @@ let scenario_algorithm name ~seed ~spec space =
       ~spec space
   else algorithm name ~seed space
 
-let run_scenario ?(engine = `Workers 1) ?batch ?(seed = 7)
+let run_scenario ?(workers = 1) ?batch ?(seed = 7)
     ?(budget = Driver.Iterations 12) ?(fault_rate = 0.) ?(stride = 1) ?spec ?scalarize
     ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration ?on_record name =
   let scenario = make_scenario ~stride () in
@@ -363,13 +316,8 @@ let run_scenario ?(engine = `Workers 1) ?batch ?(seed = 7)
       (scenario_algorithm name ~seed ~spec:target.Target.objective_spec target.Target.space)
   in
   let result =
-    match engine with
-    | `Sequential ->
-      Driver.run_sequential ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
-        ?resume_from ~scenario ~target ?on_iteration ?on_record ~algorithm:algo ~budget ()
-    | `Workers workers ->
-      Driver.run ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every ?resume_from
-        ~workers ?batch ~scenario ~target ?on_iteration ?on_record ~algorithm:algo ~budget ()
+    Driver.run ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every ?resume_from
+      ~workers ?batch ~scenario ~target ?on_iteration ?on_record ~algorithm:algo ~budget ()
   in
   ({ result; observed }, Scenario.cursor scenario)
 

@@ -1,12 +1,14 @@
 (* Cross-algorithm conformance suite for the batched multi-worker engine.
 
    Every algorithm (random, grid, bayes, deeptune, unicorn) is run through
-   the same invariant battery on the sequential driver, the engine at
-   workers=1 and the engine at workers=4; qcheck properties then pin the
-   stronger guarantees: run ~workers:1 is byte-identical to the sequential
-   loop, grid evaluates the same configuration multiset at any worker
-   count, and a killed workers=4 run under faults resumes to the exact
-   uninterrupted trajectory. *)
+   the same invariant battery on the engine at workers=1 and at
+   workers=4; qcheck properties then pin the stronger guarantees: an
+   explicit capacity-1 image cache and a domain pool leave a run
+   byte-identical, grid evaluates the same configuration multiset at any
+   worker count, and a killed workers=4 run under faults resumes to the
+   exact uninterrupted trajectory.  The workers=1 outcome itself is
+   pinned against a recorded fixture by the golden suite
+   ([engine-conformance]). *)
 
 open Wayfinder_platform
 module C = Conformance
@@ -21,9 +23,9 @@ let budget_n = 12
 (* The invariant battery                                               *)
 (* ------------------------------------------------------------------ *)
 
-let battery algo engine () =
-  let a = C.run ~engine ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
-  let b = C.run ~engine ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
+let battery algo workers () =
+  let a = C.run ~workers ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
+  let b = C.run ~workers ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
   let r = a.C.result in
   (* Same seed, same run — byte-for-byte. *)
   Alcotest.(check string) "deterministic CSV"
@@ -60,20 +62,20 @@ let battery algo engine () =
       (Hashtbl.find_opt a.C.observed index)
   done
 
-let engines = [ ("sequential", `Sequential); ("workers=1", `Workers 1); ("workers=4", `Workers 4) ]
+let worker_counts = [ 1; 4 ]
 
 let battery_cases =
   List.concat_map
-    (fun (ename, engine) ->
+    (fun workers ->
       List.map
         (fun algo ->
-          Alcotest.test_case (Printf.sprintf "%s on %s" algo ename) `Quick
-            (battery algo engine))
+          Alcotest.test_case (Printf.sprintf "%s on workers=%d" algo workers) `Quick
+            (battery algo workers))
         C.names)
-    engines
+    worker_counts
 
 (* ------------------------------------------------------------------ *)
-(* workers=1 ≡ sequential (byte-for-byte)                              *)
+(* Byte-for-byte equivalences                                          *)
 (* ------------------------------------------------------------------ *)
 
 let equivalent a b =
@@ -83,41 +85,21 @@ let equivalent a b =
   && a.C.result.Driver.stop_reason = b.C.result.Driver.stop_reason
   && a.C.result.Driver.iterations = b.C.result.Driver.iterations
 
-let prop_workers1_equals_sequential =
-  QCheck2.Test.make ~name:"run ~workers:1 byte-identical to the sequential driver" ~count:16
-    QCheck2.Gen.(
-      triple (int_range 0 1000)
-        (oneofl [ "random"; "grid"; "bayes"; "unicorn" ])
-        bool)
-    (fun (seed, algo, faulty) ->
-      let fault_rate = if faulty then 0.10 else 0. in
-      let budget = Driver.Iterations 10 in
-      let a = C.run ~engine:`Sequential ~seed ~budget ~fault_rate algo in
-      let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate algo in
-      equivalent a b)
-
-(* DeepTune is too slow for the qcheck loop; one pinned case. *)
-let test_deeptune_workers1_equivalence () =
-  let budget = Driver.Iterations 10 in
-  let a = C.run ~engine:`Sequential ~seed:3 ~budget "deeptune" in
-  let b = C.run ~engine:(`Workers 1) ~seed:3 ~budget "deeptune" in
-  Alcotest.(check bool) "deeptune workers=1 equivalence" true (equivalent a b)
-
 let prop_grid_multiset_any_workers =
   QCheck2.Test.make ~name:"grid evaluates the same multiset at any worker count" ~count:10
     QCheck2.Gen.(pair (int_range 0 500) (int_range 2 8))
     (fun (seed, workers) ->
       let budget = Driver.Iterations budget_n in
-      let a = C.run ~engine:(`Workers 1) ~seed ~budget "grid" in
-      let b = C.run ~engine:(`Workers workers) ~seed ~budget "grid" in
+      let a = C.run ~seed ~budget "grid" in
+      let b = C.run ~workers ~seed ~budget "grid" in
       C.config_multiset a.C.result = C.config_multiset b.C.result)
 
-(* The tentpole safety net: an explicit capacity-1 shared cache at
-   workers=1 must be byte-for-byte the sequential oracle — the cache
+(* An explicit capacity-1 shared cache at workers=1 must be byte-for-byte
+   the default run, whose outcome the golden fixture pins — the cache
    degenerates to the historical single "last built image" baseline. *)
-let prop_cache_capacity1_workers1_equals_sequential =
+let prop_cache_capacity1_workers1_equals_default =
   QCheck2.Test.make
-    ~name:"image-cache capacity 1 + workers=1 byte-identical to the sequential driver"
+    ~name:"image-cache capacity 1 + workers=1 byte-identical to the default workers=1 run"
     ~count:12
     QCheck2.Gen.(
       triple (int_range 0 1000)
@@ -127,8 +109,8 @@ let prop_cache_capacity1_workers1_equals_sequential =
       let fault_rate = if faulty then 0.10 else 0. in
       let budget = Driver.Iterations 10 in
       let image_cache = Image_cache.capacity 1 in
-      let a = C.run ~engine:`Sequential ~seed ~budget ~fault_rate ~image_cache algo in
-      let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate ~image_cache algo in
+      let a = C.run ~seed ~budget ~fault_rate algo in
+      let b = C.run ~seed ~budget ~fault_rate ~image_cache algo in
       equivalent a b)
 
 (* ------------------------------------------------------------------ *)
@@ -136,12 +118,13 @@ let prop_cache_capacity1_workers1_equals_sequential =
 (* ------------------------------------------------------------------ *)
 
 (* The multicore acceptance gate: a pooled run — ambient default pool for
-   the numeric kernels — must be byte-for-byte the sequential oracle, for
-   every algorithm, at any domain count.  Domains only buy wall-clock
-   time, never a different answer. *)
-let prop_domains_equal_sequential =
+   the numeric kernels — must be byte-for-byte the unpooled workers=1
+   run, whose outcome the golden fixture pins, for every algorithm, at
+   any domain count.  Domains only buy wall-clock time, never a
+   different answer. *)
+let prop_domains_equal_unpooled =
   QCheck2.Test.make
-    ~name:"pooled engine (domains in {1,4}) byte-identical to the sequential driver"
+    ~name:"pooled engine (domains in {1,4}) byte-identical to the unpooled workers=1 run"
     ~count:12
     QCheck2.Gen.(
       quad (int_range 0 1000)
@@ -150,8 +133,8 @@ let prop_domains_equal_sequential =
     (fun (seed, algo, faulty, domains) ->
       let fault_rate = if faulty then 0.10 else 0. in
       let budget = Driver.Iterations 10 in
-      let a = C.run ~engine:`Sequential ~seed ~budget ~fault_rate algo in
-      let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate ~domains algo in
+      let a = C.run ~seed ~budget ~fault_rate algo in
+      let b = C.run ~seed ~budget ~fault_rate ~domains algo in
       equivalent a b)
 
 (* The pool must be invisible on the batched engine too: workers=4 with
@@ -164,20 +147,20 @@ let prop_domains_invisible_on_workers4 =
     (fun (seed, algo, faulty) ->
       let fault_rate = if faulty then 0.10 else 0. in
       let budget = Driver.Iterations 12 in
-      let a = C.run ~engine:(`Workers 4) ~seed ~budget ~fault_rate algo in
-      let b = C.run ~engine:(`Workers 4) ~seed ~budget ~fault_rate ~domains:4 algo in
+      let a = C.run ~workers:4 ~seed ~budget ~fault_rate algo in
+      let b = C.run ~workers:4 ~seed ~budget ~fault_rate ~domains:4 algo in
       equivalent a b)
 
 (* DeepTune exercises the ambient pool inside the numeric stack as well —
    Bigarray matmul in training and the batched pool scoring — so this
-   pins the full path: pooled kernels ≡ sequential. *)
+   pins the full path: pooled kernels ≡ unpooled. *)
 let test_deeptune_domains_equivalence () =
   let budget = Driver.Iterations 10 in
-  let a = C.run ~engine:`Sequential ~seed:3 ~budget "deeptune" in
-  let b = C.run ~engine:(`Workers 1) ~seed:3 ~budget ~domains:4 "deeptune" in
+  let a = C.run ~seed:3 ~budget "deeptune" in
+  let b = C.run ~seed:3 ~budget ~domains:4 "deeptune" in
   Alcotest.(check bool) "deeptune domains=4 equivalence" true (equivalent a b);
-  let c = C.run ~engine:(`Workers 4) ~seed:3 ~budget "deeptune" in
-  let d = C.run ~engine:(`Workers 4) ~seed:3 ~budget ~domains:4 "deeptune" in
+  let c = C.run ~workers:4 ~seed:3 ~budget "deeptune" in
+  let d = C.run ~workers:4 ~seed:3 ~budget ~domains:4 "deeptune" in
   Alcotest.(check bool) "deeptune workers=4 domains=4 equivalence" true (equivalent c d)
 
 (* The cache only decides whether the build phase is charged — never which
@@ -189,10 +172,9 @@ let prop_grid_multiset_any_capacity =
     QCheck2.Gen.(triple (int_range 0 500) (int_range 1 8) (int_range 1 16))
     (fun (seed, workers, capacity) ->
       let budget = Driver.Iterations budget_n in
-      let a = C.run ~engine:(`Workers 1) ~seed ~budget "grid" in
+      let a = C.run ~seed ~budget "grid" in
       let b =
-        C.run ~engine:(`Workers workers) ~seed ~budget
-          ~image_cache:(Image_cache.capacity capacity) "grid"
+        C.run ~workers ~seed ~budget ~image_cache:(Image_cache.capacity capacity) "grid"
       in
       C.config_multiset a.C.result = C.config_multiset b.C.result)
 
@@ -243,9 +225,9 @@ let test_old_version_rejected_typed () =
    in-flight slot state), resume, and demand the uninterrupted CSV. *)
 let kill_and_resume ~seed ~interrupt_at =
   let budget = Driver.Iterations 24 in
-  let engine = `Workers 4 in
+  let workers = 4 in
   let fault_rate = 0.10 in
-  let full = C.run ~engine ~seed ~budget ~fault_rate "random" in
+  let full = C.run ~workers ~seed ~budget ~fault_rate "random" in
   let path = Filename.temp_file "wayfinder" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -253,7 +235,7 @@ let kill_and_resume ~seed ~interrupt_at =
       let completions = ref 0 in
       (try
          ignore
-           (C.run ~engine ~seed ~budget ~fault_rate ~checkpoint_path:path ~checkpoint_every:5
+           (C.run ~workers ~seed ~budget ~fault_rate ~checkpoint_path:path ~checkpoint_every:5
               ~on_iteration:(fun _ ->
                 incr completions;
                 if !completions = interrupt_at then raise Exit)
@@ -262,7 +244,7 @@ let kill_and_resume ~seed ~interrupt_at =
       match Checkpoint.load ~path with
       | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
       | Ok ck ->
-        let resumed = C.run ~engine ~seed ~budget ~fault_rate ~resume_from:ck "random" in
+        let resumed = C.run ~workers ~seed ~budget ~fault_rate ~resume_from:ck "random" in
         ( ck,
           History.to_csv full.C.result.Driver.history,
           History.to_csv resumed.C.result.Driver.history ))
@@ -288,8 +270,8 @@ let prop_kill_and_resume_workers4 =
 
 (* A resume replays every launch the checkpoint recorded.  An iteration
    budget below that count would leave the engine's fill loop with
-   nothing to launch, so both engines reject it up front with the same
-   message; a budget equal to the count still terminates. *)
+   nothing to launch, so the engine rejects it up front at any worker
+   count; a budget equal to the count still terminates. *)
 
 let resume_budget_msg ~budget ~launched =
   Printf.sprintf
@@ -297,9 +279,9 @@ let resume_budget_msg ~budget ~launched =
      already launched"
     budget launched
 
-(* The checkpoint of a 12-iteration run on [engine] — the final one, or
+(* The checkpoint of a 12-iteration run at [workers] — the final one, or
    the last periodic one before [interrupt_at] completions. *)
-let checkpoint_of ?interrupt_at ~engine ~seed () =
+let checkpoint_of ?interrupt_at ~workers ~seed () =
   let path = Filename.temp_file "wayfinder" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -307,7 +289,7 @@ let checkpoint_of ?interrupt_at ~engine ~seed () =
       let completions = ref 0 in
       (try
          ignore
-           (C.run ~engine ~seed ~fault_rate:0.10 ~checkpoint_path:path ~checkpoint_every:3
+           (C.run ~workers ~seed ~fault_rate:0.10 ~checkpoint_path:path ~checkpoint_every:3
               ~on_iteration:(fun _ ->
                 incr completions;
                 if Some !completions = interrupt_at then raise Exit)
@@ -319,59 +301,51 @@ let checkpoint_of ?interrupt_at ~engine ~seed () =
 
 let launched (ck : Checkpoint.t) = ck.Checkpoint.iterations + List.length ck.Checkpoint.inflight
 
-let run_random ?resume_from ~engine ~seed budget =
-  C.run ~engine ~seed ~fault_rate:0.10 ~budget:(Driver.Iterations budget) ?resume_from "random"
+let run_random ?resume_from ~workers ~seed budget =
+  C.run ~workers ~seed ~fault_rate:0.10 ~budget:(Driver.Iterations budget) ?resume_from "random"
 
 let csv (o : C.outcome) = History.to_csv o.C.result.Driver.history
 
-let resume_error ~engine ~seed ~budget ck =
-  match run_random ~resume_from:ck ~engine ~seed budget with
+let resume_error ~workers ~seed ~budget ck =
+  match run_random ~resume_from:ck ~workers ~seed budget with
   | _ -> None
   | exception Invalid_argument msg -> Some msg
 
-let check_rejected ~engine ~seed ~budget ck =
+let check_rejected ~workers ~seed ~budget ck =
   Alcotest.(check (option string))
     (Printf.sprintf "budget %d rejected" budget)
     (Some (resume_budget_msg ~budget ~launched:(launched ck)))
-    (resume_error ~engine ~seed ~budget ck)
+    (resume_error ~workers ~seed ~budget ck)
 
 let test_resume_budget_finished_run () =
   List.iter
-    (fun engine ->
-      let ck = checkpoint_of ~engine ~seed:11 () in
+    (fun workers ->
+      let ck = checkpoint_of ~workers ~seed:11 () in
       Alcotest.(check int) "finished run launched 12" 12 (launched ck);
-      check_rejected ~engine ~seed:11 ~budget:11 ck;
-      check_rejected ~engine ~seed:11 ~budget:0 ck;
+      check_rejected ~workers ~seed:11 ~budget:11 ck;
+      check_rejected ~workers ~seed:11 ~budget:0 ck;
       Alcotest.(check string) "equal budget reproduces the run"
-        (csv (run_random ~engine ~seed:11 12))
-        (csv (run_random ~resume_from:ck ~engine ~seed:11 12)))
-    [ `Sequential; `Workers 1; `Workers 4 ]
-
-(* The oracle and the engine agree on the rejection, message included. *)
-let test_resume_budget_engines_agree () =
-  let ck = checkpoint_of ~engine:`Sequential ~seed:4 () in
-  Alcotest.(check (option string)) "same message on the same input"
-    (resume_error ~engine:`Sequential ~seed:4 ~budget:5 ck)
-    (resume_error ~engine:(`Workers 1) ~seed:4 ~budget:5 ck)
+        (csv (run_random ~workers ~seed:11 12))
+        (csv (run_random ~resume_from:ck ~workers ~seed:11 12)))
+    worker_counts
 
 let test_resume_budget_mid_run () =
   List.iter
-    (fun (engine, interrupt_at) ->
-      let ck = checkpoint_of ~engine ~seed:11 ~interrupt_at () in
+    (fun workers ->
+      let ck = checkpoint_of ~workers ~seed:11 ~interrupt_at:8 () in
       let n = launched ck in
       Alcotest.(check bool) "checkpoint is mid-run" true (n < 12);
-      check_rejected ~engine ~seed:11 ~budget:(n - 1) ck;
-      (match engine with
-      | `Workers 4 ->
+      check_rejected ~workers ~seed:11 ~budget:(n - 1) ck;
+      if workers > 1 then begin
         Alcotest.(check bool) "checkpoint carries in-flight tasks" true
           (ck.Checkpoint.inflight <> []);
         (* Completed count covered, in-flight launches not: still below. *)
-        check_rejected ~engine ~seed:11 ~budget:ck.Checkpoint.iterations ck
-      | `Workers _ | `Sequential -> ());
+        check_rejected ~workers ~seed:11 ~budget:ck.Checkpoint.iterations ck
+      end;
       Alcotest.(check string) "equal budget reproduces the shorter run"
-        (csv (run_random ~engine ~seed:11 n))
-        (csv (run_random ~resume_from:ck ~engine ~seed:11 n)))
-    [ (`Workers 1, 8); (`Workers 4, 8) ]
+        (csv (run_random ~workers ~seed:11 n))
+        (csv (run_random ~resume_from:ck ~workers ~seed:11 n)))
+    worker_counts
 
 (* ------------------------------------------------------------------ *)
 (* Scenario conformance: trace replay + multi-objective invariants     *)
@@ -391,10 +365,10 @@ let entry_with_index entries i =
    invariants: no archive point dominates another, every archive point is
    the bitwise vector of a successful entry, and archive/cursor/CSV are
    all deterministic. *)
-let scenario_battery algo engine () =
+let scenario_battery algo workers () =
   let budget = Driver.Iterations budget_n in
-  let a, cursor_a = C.run_scenario ~engine ~seed:7 ~budget algo in
-  let b, cursor_b = C.run_scenario ~engine ~seed:7 ~budget algo in
+  let a, cursor_a = C.run_scenario ~workers ~seed:7 ~budget algo in
+  let b, cursor_b = C.run_scenario ~workers ~seed:7 ~budget algo in
   let r = a.C.result in
   Alcotest.(check string) "deterministic CSV"
     (History.to_csv r.Driver.history)
@@ -458,47 +432,33 @@ let scenario_battery algo engine () =
 
 let scenario_battery_cases =
   List.concat_map
-    (fun (ename, engine) ->
+    (fun workers ->
       List.map
         (fun algo ->
           Alcotest.test_case
-            (Printf.sprintf "scenario: %s on %s" algo ename)
-            `Quick (scenario_battery algo engine))
+            (Printf.sprintf "scenario: %s on workers=%d" algo workers)
+            `Quick (scenario_battery algo workers))
         C.scenario_names)
-    engines
+    worker_counts
 
 (* The archive is a pure function of the set of completed points, so for
    searchers whose proposal stream is independent of observation order
    (random's per-index RNG, grid's enumeration) the front is bitwise
    identical across worker counts.  Adaptive searchers can evaluate a
-   different set at different parallelism — for them the invariant under
-   test is sequential ≡ workers=1. *)
+   different set at different parallelism — for them the golden fixture
+   pins the workers=1 archive and cursor instead. *)
 let test_scenario_archive_worker_invariance () =
   List.iter
     (fun algo ->
       let budget = Driver.Iterations budget_n in
-      let a, ca = C.run_scenario ~engine:(`Workers 1) ~seed:7 ~budget algo in
-      let b, cb = C.run_scenario ~engine:(`Workers 4) ~seed:7 ~budget algo in
+      let a, ca = C.run_scenario ~seed:7 ~budget algo in
+      let b, cb = C.run_scenario ~workers:4 ~seed:7 ~budget algo in
       Alcotest.(check int) (algo ^ ": cursor identical across worker counts") ca cb;
       Alcotest.(check bool)
         (algo ^ ": archive identical across worker counts")
         true
         (archives_equal (C.archive_list a.C.result) (C.archive_list b.C.result)))
     [ "random"; "grid" ]
-
-let test_scenario_workers1_equals_sequential () =
-  List.iter
-    (fun algo ->
-      let budget = Driver.Iterations budget_n in
-      let a, ca = C.run_scenario ~engine:`Sequential ~seed:7 ~budget algo in
-      let b, cb = C.run_scenario ~engine:(`Workers 1) ~seed:7 ~budget algo in
-      Alcotest.(check int) (algo ^ ": cursor equal") ca cb;
-      Alcotest.(check bool) (algo ^ ": workers=1 equivalence") true (equivalent a b);
-      Alcotest.(check bool)
-        (algo ^ ": archive equal")
-        true
-        (archives_equal (C.archive_list a.C.result) (C.archive_list b.C.result)))
-    C.scenario_names
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate weights: (1, 0, 0) ≡ single-objective, byte-for-byte     *)
@@ -508,14 +468,14 @@ let test_scenario_workers1_equals_sequential () =
    term returned without arithmetic) lifted to whole trajectories: a
    3-objective run under Weighted_sum (1, 0, 0) must produce the same CSV
    bytes as a run whose target only measures the first objective. *)
-let degenerate_pair ~engine ~seed ~fault_rate algo =
+let degenerate_pair ~workers ~seed ~fault_rate algo =
   let budget = Driver.Iterations budget_n in
   let single, _ =
-    C.run_scenario ~engine ~seed ~budget ~fault_rate
+    C.run_scenario ~workers ~seed ~budget ~fault_rate
       ~spec:[| C.scenario_spec.(0) |] algo
   in
   let multi, _ =
-    C.run_scenario ~engine ~seed ~budget ~fault_rate
+    C.run_scenario ~workers ~seed ~budget ~fault_rate
       ~scalarize:(Scalarize.Weighted_sum [| 1.; 0.; 0. |]) algo
   in
   ( History.to_csv single.C.result.Driver.history,
@@ -528,17 +488,17 @@ let prop_degenerate_weights_single_objective =
     QCheck2.Gen.(
       quad (int_range 0 1000)
         (oneofl [ "random"; "grid" ])
-        (oneofl [ `Sequential; `Workers 1; `Workers 4 ])
+        (oneofl worker_counts)
         bool)
-    (fun (seed, algo, engine, faulty) ->
+    (fun (seed, algo, workers, faulty) ->
       let fault_rate = if faulty then 0.10 else 0. in
-      let a, b = degenerate_pair ~engine ~seed ~fault_rate algo in
+      let a, b = degenerate_pair ~workers ~seed ~fault_rate algo in
       a = b)
 
 (* DeepTune is too slow for the qcheck loop; one pinned case (frozen
    recorder, so even decide_s compares byte-for-byte). *)
 let test_deeptune_degenerate_weights () =
-  let a, b = degenerate_pair ~engine:(`Workers 1) ~seed:3 ~fault_rate:0. "deeptune" in
+  let a, b = degenerate_pair ~workers:1 ~seed:3 ~fault_rate:0. "deeptune" in
   Alcotest.(check string) "deeptune (1,0,0) trajectory" a b
 
 (* ------------------------------------------------------------------ *)
@@ -572,7 +532,7 @@ let check_exhausted r =
 
 let test_grid_exhaustion_sequential () =
   let r =
-    Driver.run_sequential ~seed:1 ~target:(tiny_target ()) ~algorithm:(Grid_search.create ())
+    Driver.run ~seed:1 ~target:(tiny_target ()) ~algorithm:(Grid_search.create ())
       ~budget:(Driver.Iterations 10) ()
   in
   check_exhausted r
@@ -613,13 +573,11 @@ let () =
   Alcotest.run "conformance"
     [ ("battery", battery_cases);
       ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_workers1_equals_sequential;
-          Alcotest.test_case "deeptune workers=1" `Slow test_deeptune_workers1_equivalence;
-          QCheck_alcotest.to_alcotest prop_grid_multiset_any_workers;
-          QCheck_alcotest.to_alcotest prop_cache_capacity1_workers1_equals_sequential;
+        [ QCheck_alcotest.to_alcotest prop_grid_multiset_any_workers;
+          QCheck_alcotest.to_alcotest prop_cache_capacity1_workers1_equals_default;
           QCheck_alcotest.to_alcotest prop_grid_multiset_any_capacity ] );
       ( "domains",
-        [ QCheck_alcotest.to_alcotest prop_domains_equal_sequential;
+        [ QCheck_alcotest.to_alcotest prop_domains_equal_unpooled;
           QCheck_alcotest.to_alcotest prop_domains_invisible_on_workers4;
           Alcotest.test_case "deeptune domains=4" `Slow test_deeptune_domains_equivalence ] );
       ( "checkpoint",
@@ -630,16 +588,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_kill_and_resume_workers4;
           Alcotest.test_case "resume budget below a finished run rejected" `Quick
             test_resume_budget_finished_run;
-          Alcotest.test_case "resume budget rejection agrees with the oracle" `Quick
-            test_resume_budget_engines_agree;
           Alcotest.test_case "resume budget below a mid-run checkpoint rejected" `Quick
             test_resume_budget_mid_run ] );
       ("scenario battery", scenario_battery_cases);
       ( "scenario invariants",
         [ Alcotest.test_case "archive invariant across worker counts" `Quick
             test_scenario_archive_worker_invariance;
-          Alcotest.test_case "workers=1 equivalence under trace replay" `Quick
-            test_scenario_workers1_equals_sequential;
           QCheck_alcotest.to_alcotest prop_degenerate_weights_single_objective;
           Alcotest.test_case "deeptune degenerate weights" `Slow
             test_deeptune_degenerate_weights ] );

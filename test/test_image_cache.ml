@@ -171,7 +171,7 @@ let counter r name = int_of_float (Obs.Metrics.counter r.Driver.metrics name)
 let test_negative_cache_serves_deterministic_build_failure () =
   let config = [| Param.Vint 0; Param.Vbool false; Param.Vint 0 |] in
   let r =
-    Driver.run_sequential ~seed:1 ~resilience:Resilience.default_resilient
+    Driver.run ~seed:1 ~resilience:Resilience.default_resilient
       ~target:(build_failing_target ()) ~algorithm:(constant_algo config)
       ~budget:(Driver.Iterations 6) ()
   in
@@ -210,7 +210,7 @@ let test_transient_build_failures_quarantine_not_negative_cache () =
     { Resilience.none with Resilience.retries = 1; quarantine_after = 2 }
   in
   let r =
-    Driver.run_sequential ~seed:1 ~resilience ~target ~algorithm:(constant_algo config)
+    Driver.run ~seed:1 ~resilience ~target ~algorithm:(constant_algo config)
       ~budget:(Driver.Iterations 6) ()
   in
   Alcotest.(check int) "no negative hits for transient failures" 0
@@ -273,9 +273,9 @@ let prop_kill_and_resume_with_warm_cache =
     QCheck2.Gen.(pair (int_range 0 300) (int_range 6 20))
     (fun (seed, interrupt_at) ->
       let budget = Driver.Iterations 24 in
-      let engine = `Workers 4 in
+      let workers = 4 in
       let image_cache = Image_cache.capacity 8 in
-      let full = C.run ~engine ~seed ~budget ~image_cache "random" in
+      let full = C.run ~workers ~seed ~budget ~image_cache "random" in
       let path = Filename.temp_file "wayfinder_cache" ".ckpt" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -283,7 +283,7 @@ let prop_kill_and_resume_with_warm_cache =
           let completions = ref 0 in
           (try
              ignore
-               (C.run ~engine ~seed ~budget ~image_cache ~checkpoint_path:path
+               (C.run ~workers ~seed ~budget ~image_cache ~checkpoint_path:path
                   ~checkpoint_every:5
                   ~on_iteration:(fun _ ->
                     incr completions;
@@ -294,7 +294,7 @@ let prop_kill_and_resume_with_warm_cache =
           | Error _ -> false
           | Ok ck ->
             let resumed =
-              C.run ~engine ~seed ~budget ~image_cache ~resume_from:ck "random"
+              C.run ~workers ~seed ~budget ~image_cache ~resume_from:ck "random"
             in
             (* The checkpoint must persist a populated cache at the right
                capacity, and the resumed run must be byte-for-byte the
@@ -310,20 +310,20 @@ let test_resume_requires_same_capacity () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ignore
-        (C.run ~engine:(`Workers 2) ~seed:3 ~budget:(Driver.Iterations 8)
+        (C.run ~workers:2 ~seed:3 ~budget:(Driver.Iterations 8)
            ~image_cache:(Image_cache.capacity 4) ~checkpoint_path:path "random");
       match Checkpoint.load ~path with
       | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
       | Ok ck ->
         (match
-           C.run ~engine:(`Workers 2) ~seed:3 ~budget:(Driver.Iterations 16)
+           C.run ~workers:2 ~seed:3 ~budget:(Driver.Iterations 16)
              ~image_cache:(Image_cache.capacity 2) ~resume_from:ck "random"
          with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "capacity mismatch accepted");
         (* Same capacity resumes fine and continues past the checkpoint. *)
         let resumed =
-          C.run ~engine:(`Workers 2) ~seed:3 ~budget:(Driver.Iterations 16)
+          C.run ~workers:2 ~seed:3 ~budget:(Driver.Iterations 16)
             ~image_cache:(Image_cache.capacity 4) ~resume_from:ck "random"
         in
         Alcotest.(check int) "resumed to the full budget" 16

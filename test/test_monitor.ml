@@ -97,7 +97,7 @@ let run_gen =
 (* The rows of one conformance run, in completion order. *)
 let run_rows (name, workers, seed, fault_rate) =
   let rows, on_record = collect_rows () in
-  let (_ : C.outcome) = C.run ~engine:(`Workers workers) ~seed ~fault_rate ~on_record name in
+  let (_ : C.outcome) = C.run ~workers:workers ~seed ~fault_rate ~on_record name in
   List.rev !rows
 
 (* The tentpole property. *)
@@ -167,7 +167,7 @@ let test_prefix_parity_scenario () =
     (fun workers ->
       let rows, on_record = collect_rows () in
       let (_ : C.outcome * int) =
-        C.run_scenario ~engine:(`Workers workers) ~seed:13 ~fault_rate:0.25 ~on_record
+        C.run_scenario ~workers:workers ~seed:13 ~fault_rate:0.25 ~on_record
           "deeptune-multi"
       in
       check_prefix_parity
@@ -619,7 +619,9 @@ let test_rules_parse_roundtrip () =
       match M.Rules.parse bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted %S" bad)
-    [ "crash>1.5"; "crash>0.5@0"; "stall>0"; "starve<2"; "bogus"; "drift@-3"; "" ]
+    [ "crash>1.5"; "crash>0.5@0"; "stall>0"; "starve<2"; "bogus"; "drift@-3"; "";
+      (* NaN passes every range comparison; infinities must not parse either. *)
+      "crash>nan@5"; "crash>nan"; "starve<nan"; "starve<-nan"; "crash>inf"; "starve<-inf" ]
 
 (* Hand-built rows for deterministic rule scenarios. *)
 let row ~index ?value ?failure () =

@@ -494,6 +494,47 @@ let test_checkpoint_rejects_garbage () =
   let truncated = String.sub s 0 (String.length s - 4) in
   Alcotest.(check bool) "truncated file rejected" true (bad truncated)
 
+(* A checkpoint sealed with a fresh CRC but an impossible field value is
+   a typed [Malformed], not a resume that fails later or runs on. *)
+let rejects message ck =
+  match Checkpoint.of_string (Checkpoint.to_string ck) with
+  | Error (Checkpoint.Malformed m) -> Alcotest.(check string) "message" message m
+  | Error e -> Alcotest.failf "expected Malformed, got %s" (Checkpoint.error_to_string e)
+  | Ok _ -> Alcotest.failf "checkpoint accepted (expected %S)" message
+
+let test_checkpoint_rejects_non_finite_clock () =
+  List.iter
+    (fun v -> rejects "bad clock field" { (sample_checkpoint ()) with Checkpoint.clock_seconds = v })
+    [ Float.nan; infinity; neg_infinity ]
+
+let test_checkpoint_rejects_non_finite_budget_start () =
+  List.iter
+    (fun v ->
+      rejects "bad budget_start field"
+        { (sample_checkpoint ()) with Checkpoint.budget_start_seconds = v })
+    [ infinity; Float.nan; neg_infinity ]
+
+let test_checkpoint_rejects_negative_consecutive_invalid () =
+  rejects "bad consecutive_invalid field"
+    { (sample_checkpoint ()) with Checkpoint.consecutive_invalid = -7 }
+
+(* A strike count counts exhausted-retry episodes: never negative. *)
+let test_checkpoint_rejects_negative_strike () =
+  List.iter
+    (fun n ->
+      rejects "bad strike field"
+        { (sample_checkpoint ()) with Checkpoint.strikes = [ ("i42,b1", n) ] })
+    [ -1; -3 ]
+
+(* The slot that built a cached image is below the writing run's worker
+   count. *)
+let test_checkpoint_rejects_cached_origin_out_of_range () =
+  let ck = sample_checkpoint () in
+  rejects "bad cached origin"
+    { ck with
+      Checkpoint.cache =
+        [ ("k", { Image_cache.status = Image_cache.Built; origin = ck.Checkpoint.workers }) ] }
+
 let test_checkpoint_save_load_atomic () =
   let path = Filename.temp_file "wayfinder" ".ckpt" in
   Fun.protect
@@ -585,9 +626,9 @@ let archives_equal a b =
    freshly constructed (equivalent) scenario, as a real restart would. *)
 let scenario_resume_roundtrip ~seed ~interrupt_at =
   let budget = Driver.Iterations 24 in
-  let engine = `Workers 4 in
+  let workers = 4 in
   let fault_rate = 0.10 in
-  let full, full_cursor = C.run_scenario ~engine ~seed ~budget ~fault_rate "random" in
+  let full, full_cursor = C.run_scenario ~workers ~seed ~budget ~fault_rate "random" in
   let path = Filename.temp_file "wayfinder" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -595,7 +636,7 @@ let scenario_resume_roundtrip ~seed ~interrupt_at =
       let completions = ref 0 in
       (try
          ignore
-           (C.run_scenario ~engine ~seed ~budget ~fault_rate ~checkpoint_path:path
+           (C.run_scenario ~workers ~seed ~budget ~fault_rate ~checkpoint_path:path
               ~checkpoint_every:5
               ~on_iteration:(fun _ ->
                 incr completions;
@@ -606,7 +647,7 @@ let scenario_resume_roundtrip ~seed ~interrupt_at =
       | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
       | Ok ck ->
         let resumed, resumed_cursor =
-          C.run_scenario ~engine ~seed ~budget ~fault_rate ~resume_from:ck "random"
+          C.run_scenario ~workers ~seed ~budget ~fault_rate ~resume_from:ck "random"
         in
         (full, full_cursor, ck, resumed, resumed_cursor))
 
@@ -655,7 +696,7 @@ let test_scenario_checkpoint_mismatch_rejected () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ignore
-        (C.run_scenario ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+        (C.run_scenario ~workers:4 ~seed:5 ~budget:(Driver.Iterations 12)
            ~checkpoint_path:path ~checkpoint_every:5 "random");
       match Checkpoint.load ~path with
       | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
@@ -663,7 +704,7 @@ let test_scenario_checkpoint_mismatch_rejected () =
         Alcotest.(check bool) "scenario checkpoint rejected without scenario" true
           (try
              ignore
-               (C.run ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+               (C.run ~workers:4 ~seed:5 ~budget:(Driver.Iterations 12)
                   ~resume_from:ck "random");
              false
            with Invalid_argument _ -> true))
@@ -741,7 +782,17 @@ let () =
             test_resume_reproduces_csv_byte_for_byte;
           Alcotest.test_case "diverging setup rejected" `Quick
             test_resume_diverging_setup_rejected;
-          QCheck_alcotest.to_alcotest prop_resume_at_any_iteration ] );
+          QCheck_alcotest.to_alcotest prop_resume_at_any_iteration;
+          Alcotest.test_case "non-finite clock rejected" `Quick
+            test_checkpoint_rejects_non_finite_clock;
+          Alcotest.test_case "non-finite budget_start rejected" `Quick
+            test_checkpoint_rejects_non_finite_budget_start;
+          Alcotest.test_case "negative consecutive_invalid rejected" `Quick
+            test_checkpoint_rejects_negative_consecutive_invalid;
+          Alcotest.test_case "negative strike count rejected" `Quick
+            test_checkpoint_rejects_negative_strike;
+          Alcotest.test_case "cached origin out of range rejected" `Quick
+            test_checkpoint_rejects_cached_origin_out_of_range ] );
       ( "scenario resume",
         [ Alcotest.test_case "kill-and-resume round-trips archive and cursor" `Quick
             test_scenario_kill_and_resume;
