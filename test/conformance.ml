@@ -322,3 +322,111 @@ let run_scenario ?(workers = 1) ?batch ?(seed = 7)
   ({ result; observed }, Scenario.cursor scenario)
 
 let archive_list r = Pareto.to_list r.Driver.pareto
+
+(* ------------------------------------------------------------------ *)
+(* Recorded engine fixture                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [golden/engine-conformance.digest] pins [Driver.run] at one worker
+   over this harness's domain.  The golden suite recomputes every line;
+   the conformance suite samples lines of it.  The file was written by
+   the strictly sequential driver loop the engine replaced, which agreed
+   with the engine on every line; it is the oracle for the one-slot
+   path. *)
+
+let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The whole observable outcome of a run: every history entry, the
+   metrics snapshot, the Pareto archive, the final clock reading, the
+   stop reason and the iteration count.  Floats print with [%h] (exact
+   bits) and strings with [%S], so two results render alike iff they are
+   equal field by field. *)
+let render b (r : Driver.result) =
+  let floats v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v)) in
+  let opt f = function None -> "-" | Some x -> f x in
+  Array.iter
+    (fun (e : History.entry) ->
+      Printf.bprintf b "entry %d %S %s %s %h %h %b %h [%s]\n" e.History.index
+        (Param.config_key e.History.config)
+        (opt (Printf.sprintf "%h") e.History.value)
+        (opt (fun f -> Printf.sprintf "%S" (Failure.to_string f)) e.History.failure)
+        e.History.at_seconds e.History.eval_seconds e.History.built e.History.decide_seconds
+        (opt floats e.History.objectives))
+    (entries r);
+  List.iter
+    (fun (name, v) -> Printf.bprintf b "counter %S %h\n" name v)
+    r.Driver.metrics.Obs.Metrics.counters;
+  List.iter
+    (fun (name, (h : Obs.Metrics.histogram)) ->
+      Printf.bprintf b "histogram %S %d %h %h %h" name h.Obs.Metrics.count h.Obs.Metrics.sum
+        h.Obs.Metrics.min h.Obs.Metrics.max;
+      Array.iter (fun (bound, n) -> Printf.bprintf b " %h:%d" bound n) h.Obs.Metrics.buckets;
+      Buffer.add_char b '\n')
+    r.Driver.metrics.Obs.Metrics.histograms;
+  List.iter (fun (i, v) -> Printf.bprintf b "pareto %d [%s]\n" i (floats v)) (archive_list r);
+  Printf.bprintf b "clock %h\nstop %s\niterations %d\n" (S.Vclock.now r.Driver.clock)
+    (match r.Driver.stop_reason with
+    | Driver.Budget_exhausted -> "budget"
+    | Driver.Invalid_cap -> "invalid-cap"
+    | Driver.Space_exhausted -> "space-exhausted")
+    r.Driver.iterations
+
+let fixture_algorithms = [ "random"; "grid"; "bayes"; "unicorn" ]
+
+(* Seeds 0-1000 in blocks of at most 100. *)
+let fixture_seed_blocks = List.init 11 (fun i -> (100 * i, min 1000 ((100 * i) + 99)))
+
+let fixture_budget = Driver.Iterations 10
+
+(* One fixture line per (algorithm, fault rate, seed block): the MD5 of
+   [render] over the block's runs, so a failure names its block.
+   [resilient] runs under the default resilient policy, which is what
+   reaches retries, backoff and corroboration. *)
+let fixture_block_line ?(resilient = false) ~fault_rate algo (lo, hi) =
+  let resilience = if resilient then Some Resilience.default_resilient else None in
+  let b = Buffer.create 65536 in
+  for seed = lo to hi do
+    Printf.bprintf b "seed %d\n" seed;
+    render b (run ?resilience ~seed ~budget:fixture_budget ~fault_rate algo).result
+  done;
+  Printf.sprintf "%s%s fault=%g seeds=%d-%d %s"
+    (if resilient then "resilient " else "")
+    algo fault_rate lo hi (md5 b)
+
+(* DeepTune at seed 3. *)
+let fixture_deeptune_line () =
+  let b = Buffer.create 4096 in
+  render b (run ~seed:3 ~budget:fixture_budget "deeptune").result;
+  Printf.sprintf "deeptune seed=3 %s" (md5 b)
+
+(* A scenario searcher at seed 7, with its trace cursor. *)
+let fixture_scenario_line algo =
+  let b = Buffer.create 4096 in
+  let o, cursor = run_scenario ~seed:7 ~budget:(Driver.Iterations 12) algo in
+  render b o.result;
+  Printf.bprintf b "cursor %d\n" cursor;
+  Printf.sprintf "scenario %s seed=7 %s" algo (md5 b)
+
+(* Every line, in file order. *)
+let fixture_lines () =
+  let blocks ~resilient fault_rates =
+    List.concat_map
+      (fun algo ->
+        List.concat_map
+          (fun fault_rate ->
+            List.map (fixture_block_line ~resilient ~fault_rate algo) fixture_seed_blocks)
+          fault_rates)
+      fixture_algorithms
+  in
+  blocks ~resilient:false [ 0.; 0.10 ]
+  @ blocks ~resilient:true [ 0.10 ]
+  @ [ fixture_deeptune_line () ]
+  @ List.map fixture_scenario_line scenario_names
+
+let fixture_file = Filename.concat "golden" "engine-conformance.digest"
+
+(* The recorded lines, read from the test directory. *)
+let recorded_fixture () =
+  In_channel.with_open_bin fixture_file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")

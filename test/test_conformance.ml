@@ -7,8 +7,9 @@
    byte-identical, grid evaluates the same configuration multiset at any
    worker count, and a killed workers=4 run under faults resumes to the
    exact uninterrupted trajectory.  The workers=1 outcome itself is
-   pinned against a recorded fixture by the golden suite
-   ([engine-conformance]). *)
+   pinned against a recorded fixture: the golden suite recomputes all of
+   [engine-conformance], and the equivalence and scenario groups here
+   check a sample of its lines. *)
 
 open Wayfinder_platform
 module C = Conformance
@@ -84,6 +85,35 @@ let equivalent a b =
   && S.Vclock.now a.C.result.Driver.clock = S.Vclock.now b.C.result.Driver.clock
   && a.C.result.Driver.stop_reason = b.C.result.Driver.stop_reason
   && a.C.result.Driver.iterations = b.C.result.Driver.iterations
+
+(* [run ~workers:1] against the outcome the sequential driver loop
+   recorded in the golden fixture ([Conformance.fixture_lines]).  A
+   fixture line names its case before the digest; [recorded_line] finds
+   the recorded line for the case a recomputed line names. *)
+let recorded_fixture = lazy (C.recorded_fixture ())
+
+let recorded_line line =
+  let case l = String.sub l 0 (String.rindex l ' ') in
+  List.find_opt (fun l -> case l = case line) (Lazy.force recorded_fixture)
+
+let check_fixture line =
+  Alcotest.(check (option string)) "recorded outcome" (Some line) (recorded_line line)
+
+(* A random sample of the fixture's seed blocks: each draw reruns 100
+   (or, for the last block, 1) seeds at 10 iterations. *)
+let prop_workers1_equals_sequential =
+  QCheck2.Test.make
+    ~name:"run ~workers:1 byte-identical to the sequential driver's recorded outcome"
+    ~count:16
+    QCheck2.Gen.(
+      triple (oneofl C.fixture_seed_blocks) (oneofl C.fixture_algorithms) bool)
+    (fun (block, algo, faulty) ->
+      let fault_rate = if faulty then 0.10 else 0. in
+      let line = C.fixture_block_line ~fault_rate algo block in
+      recorded_line line = Some line)
+
+(* DeepTune is too slow for the qcheck loop; one pinned case. *)
+let test_deeptune_workers1_equivalence () = check_fixture (C.fixture_deeptune_line ())
 
 let prop_grid_multiset_any_workers =
   QCheck2.Test.make ~name:"grid evaluates the same multiset at any worker count" ~count:10
@@ -460,6 +490,12 @@ let test_scenario_archive_worker_invariance () =
         (archives_equal (C.archive_list a.C.result) (C.archive_list b.C.result)))
     [ "random"; "grid" ]
 
+(* Every scenario searcher at workers=1 — history, metrics, clock,
+   archive and trace cursor — against the sequential driver's recorded
+   outcome. *)
+let test_scenario_workers1_equals_sequential () =
+  List.iter (fun algo -> check_fixture (C.fixture_scenario_line algo)) C.scenario_names
+
 (* ------------------------------------------------------------------ *)
 (* Degenerate weights: (1, 0, 0) ≡ single-objective, byte-for-byte     *)
 (* ------------------------------------------------------------------ *)
@@ -573,7 +609,9 @@ let () =
   Alcotest.run "conformance"
     [ ("battery", battery_cases);
       ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_grid_multiset_any_workers;
+        [ QCheck_alcotest.to_alcotest prop_workers1_equals_sequential;
+          Alcotest.test_case "deeptune workers=1" `Slow test_deeptune_workers1_equivalence;
+          QCheck_alcotest.to_alcotest prop_grid_multiset_any_workers;
           QCheck_alcotest.to_alcotest prop_cache_capacity1_workers1_equals_default;
           QCheck_alcotest.to_alcotest prop_grid_multiset_any_capacity ] );
       ( "domains",
@@ -594,6 +632,8 @@ let () =
       ( "scenario invariants",
         [ Alcotest.test_case "archive invariant across worker counts" `Quick
             test_scenario_archive_worker_invariance;
+          Alcotest.test_case "workers=1 equivalence under trace replay" `Quick
+            test_scenario_workers1_equals_sequential;
           QCheck_alcotest.to_alcotest prop_degenerate_weights_single_objective;
           Alcotest.test_case "deeptune degenerate weights" `Slow
             test_deeptune_degenerate_weights ] );

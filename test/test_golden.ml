@@ -34,7 +34,6 @@ module S = Wayfinder_simos
 module D = Wayfinder_deeptune
 module A = Wayfinder_analytics
 module C = Conformance
-module Obs = Wayfinder_obs
 
 (* Drop every ["key":value] whose value consists of [value_chars]; the
    surrounding commas stay, exactly as with the sed above. *)
@@ -207,91 +206,13 @@ let starve_flash () =
     (cli_stderr
        (flash_crowd_run @ [ "--alerts"; "starve<1"; "--progress"; "30"; "-n"; "300" ]))
 
-let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* The whole observable outcome of a run: every history entry, the
-   metrics snapshot, the Pareto archive, the final clock reading, the
-   stop reason and the iteration count.  Floats print with [%h] (exact
-   bits) and strings with [%S], so two results render alike iff they are
-   equal field by field. *)
-let render b (r : P.Driver.result) =
-  let floats v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v)) in
-  let opt f = function None -> "-" | Some x -> f x in
-  Array.iter
-    (fun (e : P.History.entry) ->
-      Printf.bprintf b "entry %d %S %s %s %h %h %b %h [%s]\n" e.P.History.index
-        (Wayfinder_configspace.Param.config_key e.P.History.config)
-        (opt (Printf.sprintf "%h") e.P.History.value)
-        (opt (fun f -> Printf.sprintf "%S" (P.Failure.to_string f)) e.P.History.failure)
-        e.P.History.at_seconds e.P.History.eval_seconds e.P.History.built
-        e.P.History.decide_seconds (opt floats e.P.History.objectives))
-    (C.entries r);
-  List.iter
-    (fun (name, v) -> Printf.bprintf b "counter %S %h\n" name v)
-    r.P.Driver.metrics.Obs.Metrics.counters;
-  List.iter
-    (fun (name, (h : Obs.Metrics.histogram)) ->
-      Printf.bprintf b "histogram %S %d %h %h %h" name h.Obs.Metrics.count h.Obs.Metrics.sum
-        h.Obs.Metrics.min h.Obs.Metrics.max;
-      Array.iter (fun (bound, n) -> Printf.bprintf b " %h:%d" bound n) h.Obs.Metrics.buckets;
-      Buffer.add_char b '\n')
-    r.P.Driver.metrics.Obs.Metrics.histograms;
-  List.iter
-    (fun (i, v) -> Printf.bprintf b "pareto %d [%s]\n" i (floats v))
-    (P.Pareto.to_list r.P.Driver.pareto);
-  Printf.bprintf b "clock %h\nstop %s\niterations %d\n" (S.Vclock.now r.P.Driver.clock)
-    (match r.P.Driver.stop_reason with
-    | P.Driver.Budget_exhausted -> "budget"
-    | P.Driver.Invalid_cap -> "invalid-cap"
-    | P.Driver.Space_exhausted -> "space-exhausted")
-    r.P.Driver.iterations
-
 (* [Driver.run] at one worker over the conformance domain (seeds 0-1000
    × {random, grid, bayes, unicorn} × fault rate {0, 0.10}, 10
    iterations; the same at fault rate 0.10 under the default resilient
-   policy, which is what reaches retries, backoff and corroboration),
-   plus DeepTune at seed 3 and every scenario searcher at seed 7
-   with its Pareto archive and trace cursor.  Each line is the MD5 of
-   [render] over one (algorithm, fault rate, block of at most 100
-   seeds), so a failure names its block.  The file was written by the
-   strictly sequential driver loop the engine replaced, which agreed with
-   the engine on every line; it is the oracle for the one-slot path. *)
-let engine_conformance () =
-  let budget = P.Driver.Iterations 10 in
-  let seed_blocks = List.init 11 (fun i -> (100 * i, min 1000 ((100 * i) + 99))) in
-  let domain ?resilience ~label fault_rates =
-    List.concat_map
-      (fun algo ->
-        List.concat_map
-          (fun fault_rate ->
-            List.map
-              (fun (lo, hi) ->
-                let b = Buffer.create 65536 in
-                for seed = lo to hi do
-                  Printf.bprintf b "seed %d\n" seed;
-                  render b (C.run ?resilience ~seed ~budget ~fault_rate algo).C.result
-                done;
-                Printf.sprintf "%s%s fault=%g seeds=%d-%d %s" label algo fault_rate lo hi (md5 b))
-              seed_blocks)
-          fault_rates)
-      [ "random"; "grid"; "bayes"; "unicorn" ]
-  in
-  let deeptune =
-    let b = Buffer.create 4096 in
-    render b (C.run ~seed:3 ~budget "deeptune").C.result;
-    Printf.sprintf "deeptune seed=3 %s" (md5 b)
-  in
-  let scenario algo =
-    let b = Buffer.create 4096 in
-    let o, cursor = C.run_scenario ~seed:7 ~budget:(P.Driver.Iterations 12) algo in
-    render b o.C.result;
-    Printf.bprintf b "cursor %d\n" cursor;
-    Printf.sprintf "scenario %s seed=7 %s" algo (md5 b)
-  in
-  domain ~label:"" [ 0.; 0.10 ]
-  @ domain ~resilience:P.Resilience.default_resilient ~label:"resilient " [ 0.10 ]
-  @ [ deeptune ]
-  @ List.map scenario C.scenario_names
+   policy), plus DeepTune at seed 3 and every scenario searcher at seed 7
+   with its Pareto archive and trace cursor.  The lines are built by
+   [Conformance.fixture_lines]. *)
+let engine_conformance = C.fixture_lines
 
 (* (name, golden file, compute, whether blank lines are significant). *)
 let runs =
