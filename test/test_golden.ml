@@ -18,7 +18,9 @@
    and of its resumed second half ([golden/progress-flash.txt]), the
    progress lines of a run with no other monitoring flag
    ([golden/progress-only.txt]), and a worker-starvation alert
-   ([golden/starve-flash.txt]).
+   ([golden/starve-flash.txt]).  [golden/bayes-redis.digest] holds the
+   normalised ledger digests of two CLI Bayesian-optimisation runs, one
+   at one worker and one at four.
 
    One more pin, [golden/engine-conformance.digest], records the
    driver's whole outcome (history, metrics, clock, stop reason,
@@ -206,6 +208,24 @@ let starve_flash () =
     (cli_stderr
        (flash_crowd_run @ [ "--alerts"; "starve<1"; "--progress"; "30"; "-n"; "300" ]))
 
+(* The CLI's own ledger of a run, digested as [with_ledger] does. *)
+let cli_ledger args =
+  let path = Filename.temp_file "wayfinder_golden" ".ledger" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore (cli_stderr (args @ [ "--ledger"; path; "--quiet" ]));
+      Digest.to_hex (Digest.string (normalized_ledger path)))
+
+(* Bayesian optimisation at its real pool size of 200: [run --app redis
+   --algorithm bayes --seed 1 -n 150], the perfbench workload, and a
+   [--workers 4] run, whose batches go through the constant-liar refits
+   of [propose_batch]. *)
+let bayes_redis () =
+  let bayes = [ "run"; "--app"; "redis"; "--algorithm"; "bayes"; "--seed"; "1" ] in
+  [ "ledger " ^ cli_ledger (bayes @ [ "-n"; "150" ]);
+    "ledger-workers4 " ^ cli_ledger (bayes @ [ "--workers"; "4"; "-n"; "60" ]) ]
+
 (* [Driver.run] at one worker over the conformance domain (seeds 0-1000
    × {random, grid, bayes, unicorn} × fault rate {0, 0.10}, 10
    iterations; the same at fault rate 0.10 under the default resilient
@@ -221,6 +241,7 @@ let runs =
     ("progress-flash", "progress-flash.txt", progress_flash, true);
     ("progress-only", "progress-only.txt", progress_only, true);
     ("starve-flash", "starve-flash.txt", starve_flash, true);
+    ("bayes-redis", "bayes-redis.digest", bayes_redis, false);
     ("engine-conformance", "engine-conformance.digest", engine_conformance, false) ]
 
 let read_lines ~exact path =
