@@ -1,6 +1,6 @@
 (* Micro-benchmarks (Bechamel) for the per-iteration algorithm costs that
    Figures 7-8 are about: DTM update and prediction, candidate-pool
-   scoring, GP refit, Unicorn refit, configuration encoding, and
+   scoring, GP refit and EI over a candidate pool, Unicorn refit, configuration encoding, and
    randconfig generation. *)
 
 open Bechamel
@@ -38,6 +38,9 @@ let tests () =
     T.Mat.init 128 8 (fun _ _ -> T.Rng.float rng 1.0)
   in
   let gp_y = Array.init 128 (fun _ -> T.Rng.float rng 1.0) in
+  (* EI over a 200-candidate pool, the Bayesian-optimisation pick. *)
+  let gp = G.Gp.fit G.Kernel.default gp_x gp_y in
+  let gp_pool = T.Mat.init 200 8 (fun _ _ -> T.Rng.float rng 1.0) in
   (* Unicorn refit at n = 128, d = 12. *)
   let unicorn = C.Unicorn.create ~n_vars:12 () in
   for _ = 1 to 128 do
@@ -52,6 +55,8 @@ let tests () =
       (Staged.stage (fun () -> ignore (CS.Encoding.encode encoding config)));
     Test.make ~name:"gp-refit-128pts"
       (Staged.stage (fun () -> ignore (G.Gp.fit G.Kernel.default gp_x gp_y)));
+    Test.make ~name:"gp-ei-200cands-128pts"
+      (Staged.stage (fun () -> ignore (G.Gp.expected_improvement_batch gp ~best:0.5 gp_pool)));
     Test.make ~name:"unicorn-refit-128obs"
       (Staged.stage (fun () -> ignore (C.Unicorn.refit unicorn)));
     Test.make ~name:"sim-linux-evaluate"

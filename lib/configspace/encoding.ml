@@ -2,7 +2,15 @@ module Vec = Wayfinder_tensor.Vec
 
 type feature = { owner : int; label : string }
 
-type t = { space : Space.t; features : feature array; offsets : int array }
+type t = {
+  space : Space.t;
+  features : feature array;
+  offsets : int array;
+  log_lo : float array;  (* per parameter: [log10 (max 1 lo)] of a log-scale Kint *)
+  log_span : float array;  (* ... and [log10 (max 1 hi) - log_lo] *)
+}
+
+let log_bound v = log10 (float_of_int (max 1 v))
 
 let features_of_param i (p : Param.t) =
   match p.Param.kind with
@@ -31,24 +39,33 @@ let create space =
           | Param.Kbool | Param.Ktristate | Param.Kint _ -> 1
           | Param.Kcategorical choices -> Array.length choices))
     params;
-  { space; features; offsets }
+  let log_lo = Array.make (Array.length params) 0. in
+  let log_span = Array.make (Array.length params) 0. in
+  Array.iteri
+    (fun i p ->
+      match p.Param.kind with
+      | Param.Kint { lo; hi; log_scale = true } when lo >= 0 ->
+        log_lo.(i) <- log_bound lo;
+        log_span.(i) <- log_bound hi -. log_lo.(i)
+      | Param.Kbool | Param.Ktristate | Param.Kint _ | Param.Kcategorical _ -> ())
+    params;
+  { space; features; offsets; log_lo; log_span }
 
 let space t = t.space
 let dim t = Array.length t.features
 
-let encode_value (p : Param.t) v out pos =
+let encode_value t i (p : Param.t) v out pos =
   match (p.Param.kind, v) with
   | Param.Kbool, Param.Vbool b -> out.(pos) <- (if b then 1. else 0.)
   | Param.Ktristate, Param.Vtristate x -> out.(pos) <- float_of_int x /. 2.
-  | Param.Kint { lo; hi; log_scale }, Param.Vint i ->
+  | Param.Kint { lo; hi; log_scale }, Param.Vint v ->
     let scaled =
       if hi = lo then 0.5
       else if log_scale && lo >= 0 then begin
-        let l v = log10 (float_of_int (max 1 v)) in
-        let denom = l hi -. l lo in
-        if denom <= 0. then 0.5 else (l i -. l lo) /. denom
+        let denom = t.log_span.(i) in
+        if denom <= 0. then 0.5 else (log_bound v -. t.log_lo.(i)) /. denom
       end
-      else float_of_int (i - lo) /. float_of_int (hi - lo)
+      else float_of_int (v - lo) /. float_of_int (hi - lo)
     in
     out.(pos) <- scaled
   | Param.Kcategorical choices, Param.Vcat c ->
@@ -58,11 +75,15 @@ let encode_value (p : Param.t) v out pos =
   | (Param.Kbool | Param.Ktristate | Param.Kint _ | Param.Kcategorical _), _ ->
     invalid_arg (Printf.sprintf "Encoding.encode: kind mismatch for %s" p.Param.name)
 
-let encode t config =
+let encode_into t config out =
   if Array.length config <> Space.size t.space then
     invalid_arg "Encoding.encode: configuration size mismatch";
+  if Array.length out <> dim t then invalid_arg "Encoding.encode_into: output size mismatch";
+  Array.iteri (fun i v -> encode_value t i (Space.param t.space i) v out t.offsets.(i)) config
+
+let encode t config =
   let out = Vec.zeros (dim t) in
-  Array.iteri (fun i v -> encode_value (Space.param t.space i) v out t.offsets.(i)) config;
+  encode_into t config out;
   out
 
 let feature_names t = Array.map (fun f -> f.label) t.features

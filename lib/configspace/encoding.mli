@@ -17,6 +17,11 @@ val dim : t -> int
 
 val encode : t -> Space.configuration -> Wayfinder_tensor.Vec.t
 
+val encode_into : t -> Space.configuration -> Wayfinder_tensor.Vec.t -> unit
+(** [encode_into t config out] writes [encode t config] into [out], whose
+    every element it overwrites.
+    @raise Invalid_argument if [out] is not {!dim} long. *)
+
 val feature_names : t -> string array
 (** One label per feature; one-hot features are suffixed with their
     category (e.g. ["default_qdisc=fq"]). *)

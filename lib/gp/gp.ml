@@ -20,14 +20,42 @@ let fit ?(noise = 1e-4) kernel x y =
 
 let size t = t.x.Mat.rows
 
+(* Column c of [ks] is query c's k*, then its v = L⁻¹k*; every sum
+   keeps the scalar formula's order (the contract in gp.mli). *)
+let predict_batch t q =
+  let n = size t and m = q.Mat.rows in
+  let ks = Mat.pairwise_sq_dist t.x q in
+  Kernel.of_sq_dist_in_place t.kernel ks;
+  let kd = ks.Mat.data in
+  let means = Array.make m 0. in
+  for i = 0 to n - 1 do
+    let a = t.alpha.(i) in
+    for c = 0 to m - 1 do
+      means.(c) <- means.(c) +. (Bigarray.Array1.unsafe_get kd ((i * m) + c) *. a)
+    done
+  done;
+  Mat.solve_lower_in_place t.chol ks;
+  let vars = Array.make m 0. in
+  for i = 0 to n - 1 do
+    for c = 0 to m - 1 do
+      let v = Bigarray.Array1.unsafe_get kd ((i * m) + c) in
+      vars.(c) <- vars.(c) +. (v *. v)
+    done
+  done;
+  (* k(q,q) at the self-distance [Vec.sq_dist q q], which is 0 for a
+     finite query; the clamp is [max 0. var]. *)
+  let prior = Kernel.of_sq_dist t.kernel 0. +. t.noise in
+  for c = 0 to m - 1 do
+    let var = prior -. vars.(c) in
+    vars.(c) <- (if 0. >= var then 0. else var)
+  done;
+  (means, vars)
+
+let one_row q = Mat.of_array 1 (Array.length q) q
+
 let predict t q =
-  let k_star = Kernel.cross t.kernel t.x q in
-  let mean = Vec.dot k_star t.alpha in
-  (* var = k(q,q) + noise - k*ᵀ (K+noise I)⁻¹ k*  via v = L⁻¹ k* *)
-  let v = Mat.solve_lower t.chol k_star in
-  let k_qq = Kernel.eval t.kernel q q in
-  let var = k_qq +. t.noise -. Vec.dot v v in
-  (mean, max 0. var)
+  let means, vars = predict_batch t (one_row q) in
+  (means.(0), vars.(0))
 
 let default_lengthscale_grid = [ 0.25; 0.5; 1.0; 1.5; 2.5; 4.0 ]
 
@@ -66,11 +94,16 @@ let erf x =
 
 let std_normal_cdf x = 0.5 *. (1. +. erf (x /. sqrt 2.))
 
-let expected_improvement t ~best q =
-  let mean, var = predict t q in
-  let sigma = sqrt var in
-  if sigma < 1e-12 then 0.
-  else begin
-    let z = (mean -. best) /. sigma in
-    ((mean -. best) *. std_normal_cdf z) +. (sigma *. std_normal_pdf z)
-  end
+let expected_improvement_batch t ~best q =
+  let means, vars = predict_batch t q in
+  Array.map2
+    (fun mean var ->
+      let sigma = sqrt var in
+      if sigma < 1e-12 then 0.
+      else begin
+        let z = (mean -. best) /. sigma in
+        ((mean -. best) *. std_normal_cdf z) +. (sigma *. std_normal_pdf z)
+      end)
+    means vars
+
+let expected_improvement t ~best q = (expected_improvement_batch t ~best (one_row q)).(0)

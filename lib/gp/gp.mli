@@ -26,9 +26,29 @@ val fit_auto : ?noise:float -> ?lengthscales:float list -> Mat.t -> Vec.t -> t
 val size : t -> int
 (** Number of training points. *)
 
+val predict_batch : t -> Mat.t -> float array * float array
+(** [predict_batch t q] is [(means, variances)] of the posterior at every
+    row of [q]; each variance includes the observation noise floor and is
+    clamped at 0.  It is the one posterior implementation: {!predict} and
+    {!expected_improvement} are its one-row case.
+
+    Ordering contract: for every finite query row [q_c] the results are
+    bit for bit those of the scalar formula with [k*(i) = k(x_i, q_c)],
+
+    - [mean = Vec.dot k* alpha] (accumulated from 0, [i] ascending),
+    - [v = Mat.solve_lower l k*] (from [k*(i)], subtracting [l(i,k)·v_k]
+      with [k] ascending, then dividing by [l(i,i)]),
+    - [var = max 0. (k(q_c, q_c) + noise − Vec.dot v v)].
+
+    It computes them as one {!Mat.pairwise_sq_dist} between the training
+    inputs and [q], {!Kernel.of_sq_dist_in_place} on that [n × m] buffer,
+    the means, one {!Mat.solve_lower_in_place} over all [m] columns, and
+    the column sums of squares.
+    @raise Invalid_argument if [q]'s width differs from the inputs'. *)
+
 val predict : t -> Vec.t -> float * float
-(** [(posterior mean, posterior variance)]; the variance includes the
-    observation noise floor and is clamped at 0. *)
+(** [(posterior mean, posterior variance)] at one query: the one-row case
+    of {!predict_batch}. *)
 
 val log_marginal_likelihood : t -> float
 
@@ -38,6 +58,10 @@ val std_normal_pdf : float -> float
 val std_normal_cdf : float -> float
 (** Abramowitz–Stegun erf approximation; absolute error < 1.5e-7. *)
 
+val expected_improvement_batch : t -> best:float -> Mat.t -> float array
+(** EI for *maximisation*, [E\[max(f(x) - best, 0)\]] under the posterior,
+    at every row of the matrix, from one {!predict_batch}.  Zero where the
+    posterior standard deviation is below [1e-12]. *)
+
 val expected_improvement : t -> best:float -> Vec.t -> float
-(** EI for *maximisation*: [E\[max(f(x) - best, 0)\]] under the posterior.
-    Zero when the posterior is degenerate. *)
+(** {!expected_improvement_batch} at one query. *)

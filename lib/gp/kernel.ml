@@ -7,27 +7,34 @@ type t =
 
 let default = Squared_exponential { lengthscale = 1.; variance = 1. }
 
-let eval k a b =
+(* The one place a kernel value is computed.  Matérn's [r] is
+   [sqrt r2 /. lengthscale], exactly as [Vec.dist a b /. lengthscale]. *)
+let of_sq_dist k r2 =
   match k with
   | Squared_exponential { lengthscale; variance } ->
-    let r2 = Vec.sq_dist a b in
     variance *. exp (-.r2 /. (2. *. lengthscale *. lengthscale))
   | Matern52 { lengthscale; variance } ->
-    let r = Vec.dist a b /. lengthscale in
+    let r = sqrt r2 /. lengthscale in
     let c = sqrt 5. *. r in
     variance *. (1. +. c +. (5. *. r *. r /. 3.)) *. exp (-.c)
 
+let eval k a b = of_sq_dist k (Vec.sq_dist a b)
+
+let of_sq_dist_in_place k (m : Mat.t) =
+  let d = m.Mat.data in
+  for i = 0 to Mat.numel m - 1 do
+    Bigarray.Array1.unsafe_set d i (of_sq_dist k (Bigarray.Array1.unsafe_get d i))
+  done
+
+(* The lower triangle, mirrored: K(j,i) is the value computed for K(i,j). *)
 let gram k x =
-  let n = x.Mat.rows in
-  let out = Mat.zeros n n in
-  let rows = Mat.to_rows x in
+  let g = Mat.pairwise_sq_dist x x in
+  let n = g.Mat.rows and d = g.Mat.data in
   for i = 0 to n - 1 do
     for j = 0 to i do
-      let v = eval k rows.(i) rows.(j) in
-      Mat.set out i j v;
-      Mat.set out j i v
+      let v = of_sq_dist k (Bigarray.Array1.unsafe_get d ((i * n) + j)) in
+      Bigarray.Array1.unsafe_set d ((i * n) + j) v;
+      Bigarray.Array1.unsafe_set d ((j * n) + i) v
     done
   done;
-  out
-
-let cross k x q = Array.map (fun row -> eval k row q) (Mat.to_rows x)
+  g

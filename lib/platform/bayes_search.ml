@@ -59,19 +59,34 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
       Obs.Recorder.observe ctx.Search_algorithm.obs ~quiet:true "bayes.pool_size"
         (float_of_int pool);
       let best = Array.fold_left max neg_infinity y_std in
-      let best_config = ref (Random_search.sampler ?favor space rng) in
-      let best_ei = ref neg_infinity in
-      for _ = 0 to pool - 1 do
+      let fallback = Random_search.sampler ?favor space rng in
+      if pool <= 0 then fallback
+      else begin
         (* Textbook BO: EI maximised over a random candidate pool (no
-           model-free exploitation seeds — that is DeepTune's trick). *)
-        let candidate = Random_search.sampler ?favor space rng in
-        let ei = Gp.expected_improvement gp ~best (Encoding.encode st.encoding candidate) in
-        if ei > !best_ei then begin
-          best_ei := ei;
-          best_config := candidate
-        end
-      done;
-      !best_config
+           model-free exploitation seeds — that is DeepTune's trick).
+           EI consumes no randomness, so drawing the whole pool before
+           scoring it leaves the stream as it was. *)
+        let candidates = Array.make pool fallback in
+        let q = Mat.zeros pool (Encoding.dim st.encoding) in
+        let row = Array.make (Encoding.dim st.encoding) 0. in
+        for i = 0 to pool - 1 do
+          let candidate = Random_search.sampler ?favor space rng in
+          candidates.(i) <- candidate;
+          Encoding.encode_into st.encoding candidate row;
+          Mat.set_row q i row
+        done;
+        let ei = Gp.expected_improvement_batch gp ~best q in
+        (* Strict first maximum; the fallback stands if no EI beats -inf. *)
+        let best_config = ref fallback and best_ei = ref neg_infinity in
+        Array.iteri
+          (fun i e ->
+            if e > !best_ei then begin
+              best_ei := e;
+              best_config := candidates.(i)
+            end)
+          ei;
+        !best_config
+      end
     end
   in
   let propose ctx = pick (get_state ctx.Search_algorithm.space) ctx in

@@ -471,52 +471,112 @@ let add_jitter m eps =
   done;
   c
 
+(* Row [i] of the factor: L(i,j) = (a(i,j) − Σ_k L(i,k)·L(j,k)) / L(j,j),
+   k ascending, and L(i,i) = √(a(i,i) − Σ_k L(i,k)²). *)
 let cholesky a =
   if a.rows <> a.cols then invalid_arg "Mat.cholesky: not square";
   let n = a.rows in
   let l = zeros n n in
+  let ad = a.data and ld = l.data in
   for i = 0 to n - 1 do
+    let ri = i * n in
     for j = 0 to i do
-      let acc = ref (get a i j) in
+      let rj = j * n in
+      let acc = ref (Bigarray.Array1.unsafe_get ad (ri + j)) in
       for k = 0 to j - 1 do
-        acc := !acc -. (get l i k *. get l j k)
+        acc :=
+          !acc -. (Bigarray.Array1.unsafe_get ld (ri + k) *. Bigarray.Array1.unsafe_get ld (rj + k))
       done;
       if i = j then begin
         if !acc <= 0. then failwith "Mat.cholesky: matrix not positive definite";
-        set l i i (sqrt !acc)
+        Bigarray.Array1.unsafe_set ld (ri + i) (sqrt !acc)
       end
-      else set l i j (!acc /. get l j j)
+      else Bigarray.Array1.unsafe_set ld (ri + j) (!acc /. Bigarray.Array1.unsafe_get ld (rj + j))
     done
   done;
   l
 
-let solve_lower l b =
-  let n = l.rows in
-  if Array.length b <> n then invalid_arg "Mat.solve_lower: dimension mismatch";
-  let x = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let acc = ref b.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (get l i j *. x.(j))
-    done;
-    x.(i) <- !acc /. get l i i
-  done;
-  x
+(* Forward ([lower]) or back substitution with the square factor [l]
+   over every column of [b], in place.  Each column is solved exactly as
+   a lone right-hand side would be: row [i] becomes
 
-let solve_upper l b =
-  let n = l.rows in
-  if Array.length b <> n then invalid_arg "Mat.solve_upper: dimension mismatch";
-  let x = Array.make n 0. in
-  for i = n - 1 downto 0 do
-    let acc = ref b.(i) in
-    for j = i + 1 to n - 1 do
-      (* Interpreting [l] as lower-triangular, [Lᵀ] has entry (i,j) = L(j,i). *)
-      acc := !acc -. (get l j i *. x.(j))
-    done;
-    x.(i) <- !acc /. get l i i
-  done;
-  x
+     (b_i − Σ_k t(i,k)·x_k) / l(i,i)
 
+   accumulated from [b_i] with [k] ascending, where [t = l] (k < i, rows
+   ascending) or [t = lᵀ] (k > i, rows descending).  Columns are
+   register-blocked four at a time, each with its own accumulator, so
+   blocking only shares the load of t(i,k) and never reorders an
+   operation. *)
+let substitute ~lower l b =
+  let n = l.rows in
+  if l.cols <> n || b.rows <> n then
+    invalid_arg
+      (Printf.sprintf "Mat.%s: dimension mismatch (%dx%d factor, %d rows)"
+         (if lower then "solve_lower" else "solve_upper")
+         l.rows l.cols b.rows);
+  let m = b.cols and ld = l.data and bd = b.data in
+  (* t(i,k) lives at [tbase i + k·tstride]. *)
+  let tbase i = if lower then i * n else i and tstride = if lower then 1 else n in
+  let row i =
+    let k0 = if lower then 0 else i + 1 and k1 = if lower then i - 1 else n - 1 in
+    let t0 = tbase i and diag = Bigarray.Array1.unsafe_get ld ((i * n) + i) in
+    let quad c =
+      let o = (i * m) + c in
+      let acc0 = ref (Bigarray.Array1.unsafe_get bd o)
+      and acc1 = ref (Bigarray.Array1.unsafe_get bd (o + 1))
+      and acc2 = ref (Bigarray.Array1.unsafe_get bd (o + 2))
+      and acc3 = ref (Bigarray.Array1.unsafe_get bd (o + 3)) in
+      for k = k0 to k1 do
+        let t = Bigarray.Array1.unsafe_get ld (t0 + (k * tstride)) and x = (k * m) + c in
+        acc0 := !acc0 -. (t *. Bigarray.Array1.unsafe_get bd x);
+        acc1 := !acc1 -. (t *. Bigarray.Array1.unsafe_get bd (x + 1));
+        acc2 := !acc2 -. (t *. Bigarray.Array1.unsafe_get bd (x + 2));
+        acc3 := !acc3 -. (t *. Bigarray.Array1.unsafe_get bd (x + 3))
+      done;
+      Bigarray.Array1.unsafe_set bd o (!acc0 /. diag);
+      Bigarray.Array1.unsafe_set bd (o + 1) (!acc1 /. diag);
+      Bigarray.Array1.unsafe_set bd (o + 2) (!acc2 /. diag);
+      Bigarray.Array1.unsafe_set bd (o + 3) (!acc3 /. diag)
+    in
+    let single c =
+      let o = (i * m) + c in
+      let acc = ref (Bigarray.Array1.unsafe_get bd o) in
+      for k = k0 to k1 do
+        acc :=
+          !acc
+          -. (Bigarray.Array1.unsafe_get ld (t0 + (k * tstride))
+             *. Bigarray.Array1.unsafe_get bd ((k * m) + c))
+      done;
+      Bigarray.Array1.unsafe_set bd o (!acc /. diag)
+    in
+    let blocks = m / 4 in
+    for cb = 0 to blocks - 1 do
+      quad (cb * 4)
+    done;
+    for c = blocks * 4 to m - 1 do
+      single c
+    done
+  in
+  if lower then
+    for i = 0 to n - 1 do
+      row i
+    done
+  else
+    for i = n - 1 downto 0 do
+      row i
+    done
+
+let solve_lower_in_place l b = substitute ~lower:true l b
+let solve_upper_in_place l b = substitute ~lower:false l b
+
+(* A vector right-hand side is the one-column case. *)
+let solve_vec solve l b =
+  let x = of_array (Array.length b) 1 b in
+  solve l x;
+  to_array x
+
+let solve_lower l b = solve_vec solve_lower_in_place l b
+let solve_upper l b = solve_vec solve_upper_in_place l b
 let cholesky_solve l b = solve_upper l (solve_lower l b)
 
 let log_det_from_cholesky l =
@@ -526,17 +586,13 @@ let log_det_from_cholesky l =
   done;
   2. *. !acc
 
+(* Column j of the inverse is [cholesky_solve l e_j]: both substitutions
+   run over all n unit columns at once. *)
 let inverse_spd a =
-  let n = a.rows in
   let l = cholesky a in
-  let inv = zeros n n in
-  for j = 0 to n - 1 do
-    let e = Array.init n (fun i -> if i = j then 1. else 0.) in
-    let x = cholesky_solve l e in
-    for i = 0 to n - 1 do
-      set inv i j x.(i)
-    done
-  done;
+  let inv = eye a.rows in
+  solve_lower_in_place l inv;
+  solve_upper_in_place l inv;
   inv
 
 let pp ppf m =

@@ -132,15 +132,36 @@ val add_jitter : t -> float -> t
     before a Cholesky factorization). *)
 
 val cholesky : t -> t
-(** Lower-triangular Cholesky factor [L] with [L·Lᵀ = A].
+(** Lower-triangular Cholesky factor [L] with [L·Lᵀ = A], row by row:
+    [L(i,j) = (A(i,j) − Σ_k L(i,k)·L(j,k)) / L(j,j)] for [j < i] and
+    [L(i,i) = √(A(i,i) − Σ_k L(i,k)²)], each sum subtracted from the
+    [A] element with [k] ascending.
     @raise Failure if the matrix is not (numerically) positive definite. *)
 
+val solve_lower_in_place : t -> t -> unit
+(** [solve_lower_in_place l b] overwrites the [n×m] [b] with [L⁻¹·b] by
+    forward substitution over all [m] columns at once.  Each column is
+    computed as {!solve_lower} computes a lone right-hand side: [x_i] is
+    accumulated from [b_i], subtracting [L(i,k)·x_k] with [k] ascending,
+    then divided by [L(i,i)].
+    @raise Invalid_argument if [l] is not square or [b] has the wrong
+    row count. *)
+
+val solve_upper_in_place : t -> t -> unit
+(** [solve_upper_in_place l b] overwrites [b] with [(Lᵀ)⁻¹·b] by back
+    substitution over all columns: [x_i] is accumulated from [b_i],
+    subtracting [L(k,i)·x_k] with [k] ascending from [i+1], then divided
+    by [L(i,i)], for [i] descending.
+    @raise Invalid_argument as {!solve_lower_in_place}. *)
+
 val solve_lower : t -> Vec.t -> Vec.t
-(** [solve_lower l b] solves [L·x = b] by forward substitution. *)
+(** [solve_lower l b] solves [L·x = b] by forward substitution: the
+    one-column case of {!solve_lower_in_place}. *)
 
 val solve_upper : t -> Vec.t -> Vec.t
 (** [solve_upper u b] solves [U·x = b] by back substitution, where [u] is
-    interpreted as the transpose of a lower-triangular factor. *)
+    interpreted as the transpose of a lower-triangular factor: the
+    one-column case of {!solve_upper_in_place}. *)
 
 val cholesky_solve : t -> Vec.t -> Vec.t
 (** [cholesky_solve l b] solves [A·x = b] given the Cholesky factor [l]. *)
@@ -149,6 +170,7 @@ val log_det_from_cholesky : t -> float
 (** [log det A] computed from its Cholesky factor. *)
 
 val inverse_spd : t -> t
-(** Inverse of a symmetric positive-definite matrix via Cholesky. *)
+(** Inverse of a symmetric positive-definite matrix via Cholesky: column
+    [j] is [cholesky_solve l e_j]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,6 +19,8 @@ module Layer = Wayfinder_nn.Layer
 module Param = Wayfinder_configspace.Param
 module Dtm = Wayfinder_deeptune.Dtm
 module Scoring = Wayfinder_deeptune.Scoring
+module Gp = Wayfinder_gp.Gp
+module Kernel = Wayfinder_gp.Kernel
 
 let bits_equal xs ys =
   Array.length xs = Array.length ys
@@ -202,6 +204,227 @@ let prop_column_stats =
            [ 0.; 0.1; 0.5; 0.9; 1. ])
 
 (* ------------------------------------------------------------------ *)
+(* Gaussian-process posterior                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The kernel, Gram matrix, factorisation, substitutions and posterior as
+   they were computed one query at a time, through [Mat.get]/[Mat.set]. *)
+let ref_kernel k a b =
+  match k with
+  | Kernel.Squared_exponential { lengthscale; variance } ->
+    let r2 = Vec.sq_dist a b in
+    variance *. exp (-.r2 /. (2. *. lengthscale *. lengthscale))
+  | Kernel.Matern52 { lengthscale; variance } ->
+    let r = Vec.dist a b /. lengthscale in
+    let c = sqrt 5. *. r in
+    variance *. (1. +. c +. (5. *. r *. r /. 3.)) *. exp (-.c)
+
+let ref_gram k rows =
+  let n = Array.length rows in
+  let out = Mat.zeros n n in
+  for i = 0 to n - 1 do
+    for j = 0 to i do
+      let v = ref_kernel k rows.(i) rows.(j) in
+      Mat.set out i j v;
+      Mat.set out j i v
+    done
+  done;
+  out
+
+let ref_cholesky a =
+  let n = a.Mat.rows in
+  let l = Mat.zeros n n in
+  for i = 0 to n - 1 do
+    for j = 0 to i do
+      let acc = ref (Mat.get a i j) in
+      for k = 0 to j - 1 do
+        acc := !acc -. (Mat.get l i k *. Mat.get l j k)
+      done;
+      if i = j then begin
+        if !acc <= 0. then failwith "Mat.cholesky: matrix not positive definite";
+        Mat.set l i i (sqrt !acc)
+      end
+      else Mat.set l i j (!acc /. Mat.get l j j)
+    done
+  done;
+  l
+
+let ref_solve_lower l b =
+  let n = l.Mat.rows in
+  let x = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let acc = ref b.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (Mat.get l i j *. x.(j))
+    done;
+    x.(i) <- !acc /. Mat.get l i i
+  done;
+  x
+
+let ref_solve_upper l b =
+  let n = l.Mat.rows in
+  let x = Array.make n 0. in
+  for i = n - 1 downto 0 do
+    let acc = ref b.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (Mat.get l j i *. x.(j))
+    done;
+    x.(i) <- !acc /. Mat.get l i i
+  done;
+  x
+
+(* (means, variances, EIs) of the scalar formula at every query. *)
+let ref_posterior k ~noise rows y ~best queries =
+  let chol = ref_cholesky (Mat.add_jitter (ref_gram k rows) noise) in
+  let alpha = ref_solve_upper chol (ref_solve_lower chol y) in
+  let post q =
+    let k_star = Array.map (fun row -> ref_kernel k row q) rows in
+    let mean = Vec.dot k_star alpha in
+    let v = ref_solve_lower chol k_star in
+    let var = max 0. (ref_kernel k q q +. noise -. Vec.dot v v) in
+    let sigma = sqrt var in
+    let ei =
+      if sigma < 1e-12 then 0.
+      else begin
+        let z = (mean -. best) /. sigma in
+        ((mean -. best) *. Gp.std_normal_cdf z) +. (sigma *. Gp.std_normal_pdf z)
+      end
+    in
+    (mean, var, ei)
+  in
+  let posts = Array.map post queries in
+  ( Array.map (fun (m, _, _) -> m) posts,
+    Array.map (fun (_, v, _) -> v) posts,
+    Array.map (fun (_, _, e) -> e) posts )
+
+let kernel_gen =
+  QCheck2.Gen.(
+    map3
+      (fun se lengthscale variance ->
+        if se then Kernel.Squared_exponential { lengthscale; variance }
+        else Kernel.Matern52 { lengthscale; variance })
+      bool (oneofl [ 0.3; 0.8; 1.5 ]) (oneofl [ 1.; 0.7; 0.3 ]))
+
+(* n training rows in [0,1]^d, about a quarter of them copies of an
+   earlier row, and m queries, half of them copies of a training row.
+   Odd n and every m mod 4 exercise the distance and substitution
+   blocking.  A noise of 1e-17 vanishes next to the diagonal, so a query
+   on a training row can leave a variance of 0 (the clamp and EI's
+   [sigma < 1e-12] branch), and a duplicated row a singular matrix. *)
+type gp_case = {
+  kernel : Kernel.t;
+  noise : float;
+  rows : Vec.t array;
+  y : Vec.t;
+  queries : Vec.t array;
+  best : float;
+}
+
+let gp_case_gen =
+  QCheck2.Gen.(
+    quad kernel_gen (oneofl [ 1e-3; 1e-6; 1e-17 ]) (int_range 1 40)
+      (pair (int_range 1 13) (int_range 1 6))
+    >>= fun (kernel, noise, n, (m, d)) ->
+    let row = array_size (return d) (float_range 0. 1.) in
+    let one_in_four = frequency [ (1, return true); (3, return false) ] in
+    let pick = triple one_in_four (int_range 0 (n - 1)) row in
+    quad
+      (array_size (return n) pick)
+      (array_size (return n) (float_range (-2.) 2.))
+      (array_size (return m) (triple bool (int_range 0 (n - 1)) row))
+      (float_range (-1.) 1.)
+    >|= fun (train, y, qs, best) ->
+    let rows = Array.make n [||] in
+    Array.iteri (fun i (dup, j, r) -> rows.(i) <- (if dup && j < i then rows.(j) else r)) train;
+    let queries = Array.map (fun (dup, j, r) -> if dup then rows.(j) else r) qs in
+    { kernel; noise; rows; y; queries; best })
+
+let print_gp_case c =
+  Printf.sprintf "%s noise=%g n=%d m=%d d=%d"
+    (match c.kernel with Kernel.Squared_exponential _ -> "se" | Kernel.Matern52 _ -> "matern")
+    c.noise (Array.length c.rows) (Array.length c.queries) (Array.length c.rows.(0))
+
+(* A factorisation failure must be the reference's too. *)
+let agree_or_both_fail reference actual check =
+  match reference () with
+  | exception Failure _ -> ( match actual () with exception Failure _ -> true | _ -> false)
+  | expected -> check expected (actual ())
+
+let prop_predict_batch =
+  QCheck2.Test.make ~name:"predict_batch and EI bitwise equal the scalar posterior" ~count:300
+    ~print:print_gp_case gp_case_gen (fun c ->
+      agree_or_both_fail
+        (fun () -> ref_posterior c.kernel ~noise:c.noise c.rows c.y ~best:c.best c.queries)
+        (fun () -> Gp.fit ~noise:c.noise c.kernel (Mat.of_rows c.rows) c.y)
+        (fun (means, vars, eis) gp ->
+          let q = Mat.of_rows c.queries in
+          let means', vars' = Gp.predict_batch gp q in
+          let one = Array.map (Gp.predict gp) c.queries in
+          bits_equal means means' && bits_equal vars vars'
+          && bits_equal eis (Gp.expected_improvement_batch gp ~best:c.best q)
+          && bits_equal means (Array.map fst one)
+          && bits_equal vars (Array.map snd one)
+          && bits_equal eis (Array.map (Gp.expected_improvement gp ~best:c.best) c.queries)))
+
+let prop_factor_solve =
+  QCheck2.Test.make ~name:"gram, cholesky, solves and inverse_spd bitwise equal get/set loops"
+    ~count:300 ~print:print_gp_case gp_case_gen (fun c ->
+      let x = Mat.of_rows c.rows in
+      let gram = Kernel.gram c.kernel x in
+      bits_equal (Mat.to_array (ref_gram c.kernel c.rows)) (Mat.to_array gram)
+      &&
+      let a = Mat.add_jitter gram c.noise in
+      agree_or_both_fail
+        (fun () -> ref_cholesky a)
+        (fun () -> Mat.cholesky a)
+        (fun l_ref l ->
+          (* The targets and every query's k*: 2 to 14 right-hand sides. *)
+          let rhs =
+            Array.append [| c.y |]
+              (Array.map (fun q -> Array.map (fun r -> ref_kernel c.kernel r q) c.rows) c.queries)
+          in
+          let n = l.Mat.rows and cols = Array.length rhs in
+          let many = Mat.init n cols (fun i j -> rhs.(j).(i)) in
+          Mat.solve_lower_in_place l many;
+          let ref_inverse =
+            let unit j = Array.init n (fun r -> if r = j then 1. else 0.) in
+            Mat.init n n (fun i j -> (ref_solve_upper l_ref (ref_solve_lower l_ref (unit j))).(i))
+          in
+          bits_equal (Mat.to_array l_ref) (Mat.to_array l)
+          && Array.for_all
+               (fun r ->
+                 bits_equal (ref_solve_lower l_ref r) (Mat.solve_lower l r)
+                 && bits_equal (ref_solve_upper l_ref r) (Mat.solve_upper l r))
+               rhs
+          && bits_equal
+               (Mat.to_array (Mat.init n cols (fun i j -> (ref_solve_lower l_ref rhs.(j)).(i))))
+               (Mat.to_array many)
+          && bits_equal (Mat.to_array ref_inverse) (Mat.to_array (Mat.inverse_spd a))))
+
+(* One training point and a query on it.  With the noise lost in
+   rounding, k(q,q) + noise − v·v is exactly 0 at variance 1 and −2⁻⁵³
+   at variance 0.3, which the clamp turns into +0; EI then takes its
+   degenerate branch. *)
+let test_degenerate_posterior () =
+  let x = [| [| 0.25; 0.5 |] |] and y = [| 1.5 |] and off = [| 0.; 1. |] in
+  List.iter
+    (fun variance ->
+      let k = Kernel.Squared_exponential { lengthscale = 1.; variance } in
+      let gp = Gp.fit ~noise:1e-17 k (Mat.of_rows x) y in
+      let means, vars = Gp.predict_batch gp (Mat.of_rows [| x.(0); off |]) in
+      let ref_means, ref_vars, _ = ref_posterior k ~noise:1e-17 x y ~best:0. x in
+      let name what = Printf.sprintf "variance %g: %s" variance what in
+      Alcotest.(check bool) (name "mean as the scalar formula") true
+        (bits_equal ref_means [| means.(0) |]);
+      Alcotest.(check bool) (name "variance +0") true
+        (bits_equal [| 0.; 0. |] [| ref_vars.(0); vars.(0) |]);
+      Alcotest.(check (float 0.)) (name "EI 0 on the training point") 0.
+        (Gp.expected_improvement gp ~best:(-10.) x.(0));
+      Alcotest.(check bool) (name "EI > 0 off it") true
+        (Gp.expected_improvement gp ~best:(-10.) off > 0.))
+    [ 1.; 0.3 ]
+
+(* ------------------------------------------------------------------ *)
 (* Allocation ratchet                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -250,6 +473,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_products; prop_products_1x1; prop_products_pooled; prop_pairwise_sq_dist;
             prop_backward_params; prop_feature_sensitivity; prop_config_key;
-            prop_dissimilarities; prop_column_stats ] );
+            prop_dissimilarities; prop_column_stats; prop_predict_batch; prop_factor_solve ] );
+      ( "posterior",
+        [ Alcotest.test_case "degenerate variance and EI" `Quick test_degenerate_posterior ] );
       ( "allocation",
         [ Alcotest.test_case "train and predict_batch ratchet" `Quick test_allocation_ratchet ] ) ]

@@ -485,6 +485,18 @@ let test_bayes_handles_crashes () =
   Alcotest.(check bool) "found > 90" true
     (Option.value ~default:0. (History.best_value r.Driver.history) > 90.)
 
+(* With an empty candidate pool the pick is the configuration drawn
+   before the pool, so after the warm-up every proposal is still the next
+   random draw: the same stream as random search. *)
+let test_bayes_empty_pool () =
+  let target = toy_target () in
+  let configs algorithm =
+    let r = Driver.run ~seed:4 ~target ~algorithm ~budget:(Driver.Iterations 20) () in
+    Array.map (fun e -> e.History.config) (History.entries r.Driver.history)
+  in
+  Alcotest.(check bool) "pool 0 proposes the random-search stream" true
+    (configs (Bayes_search.create ~n_init:3 ~pool:0 ()) = configs (Random_search.create ()))
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -638,7 +650,8 @@ let () =
           Alcotest.test_case "respects pins" `Quick test_grid_search_respects_pins ] );
       ( "bayes",
         [ Alcotest.test_case "finds optimum on smooth toy" `Quick test_bayes_beats_random_on_toy;
-          Alcotest.test_case "handles crashes" `Quick test_bayes_handles_crashes ] );
+          Alcotest.test_case "handles crashes" `Quick test_bayes_handles_crashes;
+          Alcotest.test_case "empty candidate pool" `Quick test_bayes_empty_pool ] );
       ( "report",
         [ Alcotest.test_case "of_result and rendering" `Quick test_report_of_result;
           Alcotest.test_case "minimised metric" `Quick test_report_minimised_metric;
